@@ -95,3 +95,31 @@ func TestMeasuredModeMultiplexedParity(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledMeasuredPhasesFitWall: the compiled paths attribute measured
+// time through the driver's phase timer alone, so on every rank the
+// measured phases other than the nested "overlap" sub-phase sum to no more
+// than the rank's wall time. A phase charged twice (once by the timer, once
+// by a region inside loopir) would push the sum past the wall.
+func TestCompiledMeasuredPhasesFitWall(t *testing.T) {
+	cfg := smallConfig()
+	kcfg := smallKernelConfig()
+	runs := map[string]func(p *comm.Proc){
+		"kernel":   func(p *comm.Proc) { RunKernelCompiled(p, kcfg) },
+		"compiled": func(p *comm.Proc) { RunCompiled(p, cfg) },
+	}
+	for name, body := range runs {
+		rep := comm.RunMeasured(2, costmodel.IPSC860(), body)
+		for r, m := range rep.Measured {
+			sum := 0.0
+			for phase, v := range m.Phases {
+				if phase != "overlap" {
+					sum += v
+				}
+			}
+			if sum > m.Wall {
+				t.Errorf("%s rank %d: measured phases sum to %.6fs > wall %.6fs: %v", name, r, sum, m.Wall, m.Phases)
+			}
+		}
+	}
+}

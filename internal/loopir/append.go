@@ -27,26 +27,14 @@ import (
 // new contents, in arrival order) and the new size of each owned row.
 // Collective.
 func ReduceAppend(p *comm.Proc, dist *core.Dist, destRows []int32, records []float64, width int) ([]float64, []int32) {
-	if len(records) != len(destRows)*width {
-		panic(fmt.Sprintf("loopir: %d values for %d records of width %d", len(records), len(destRows), width))
-	}
 	reg := p.Phase("append")
 	defer reg.End()
-	tt := dist.TT()
-
-	// Data motion: REDUCE(APPEND) -> light-weight schedule + scatter_append.
-	owners := make([]int32, len(destRows))
-	for i, row := range destRows {
-		owners[i] = tt.OwnerOf(int(row))
-	}
-	p.ComputeMem(len(destRows))
-	ls := schedule.BuildLight(p, owners)
-	recv := ls.MoveF64(p, owners, records, width)
+	_, _, recv := appendMove(p, dist, destRows, records, width)
 
 	// Generated size recomputation (Figure 11, loops L2 and L3):
 	// new_size(icell(i,j)) = new_size(icell(i,j)) + 1, an irregular
 	// sum-reduction over the destination rows.
-	ht := hashtab.New(p, tt)
+	ht := hashtab.New(p, dist.TT())
 	stamp := ht.NewStamp()
 	loc := ht.Hash(destRows, stamp)
 	sched := schedule.Build(p, ht, stamp, 0)
@@ -78,20 +66,9 @@ func ReduceAppend(p *comm.Proc, dist *core.Dist, destRows []int32, records []flo
 // record i; the returned records and sizes are identical to ReduceAppend's.
 // Collective.
 func ReduceAppendFused(p *comm.Proc, dist *core.Dist, destRows []int32, records []float64, width int) ([]float64, []int32) {
-	if len(records) != len(destRows)*width {
-		panic(fmt.Sprintf("loopir: %d values for %d records of width %d", len(records), len(destRows), width))
-	}
 	reg := p.Phase("append")
 	defer reg.End()
-	tt := dist.TT()
-
-	owners := make([]int32, len(destRows))
-	for i, row := range destRows {
-		owners[i] = tt.OwnerOf(int(row))
-	}
-	p.ComputeMem(len(destRows))
-	ls := schedule.BuildLight(p, owners)
-	recv := ls.MoveF64(p, owners, records, width)
+	ls, owners, recv := appendMove(p, dist, destRows, records, width)
 	rows := ls.MoveI32(p, owners, destRows, 1)
 
 	// Local size count: translate arriving global rows to owned offsets with
@@ -106,4 +83,21 @@ func ReduceAppendFused(p *comm.Proc, dist *core.Dist, destRows []int32, records 
 	}
 	p.ComputeMem(dist.NLocal() + len(rows))
 	return recv, sizes
+}
+
+// appendMove is the data motion of both lowerings: REDUCE(APPEND) ->
+// light-weight schedule + scatter_append of the records to the owners of
+// their destination rows.
+func appendMove(p *comm.Proc, dist *core.Dist, destRows []int32, records []float64, width int) (*schedule.LightSchedule, []int32, []float64) {
+	if len(records) != len(destRows)*width {
+		panic(fmt.Sprintf("loopir: %d values for %d records of width %d", len(records), len(destRows), width))
+	}
+	tt := dist.TT()
+	owners := make([]int32, len(destRows))
+	for i, row := range destRows {
+		owners[i] = tt.OwnerOf(int(row))
+	}
+	p.ComputeMem(len(destRows))
+	ls := schedule.BuildLight(p, owners)
+	return ls, owners, ls.MoveF64(p, owners, records, width)
 }

@@ -97,11 +97,10 @@ func (d *Decomposition) Redistribute(newOwners []int32) {
 	for _, ia := range d.inds {
 		if ia.ptr != nil {
 			ia.ptr, ia.vals = plan.MoveCSR(d.prog.P, ia.ptr, ia.vals)
-			d.prog.P.ComputeMem(len(ia.vals))
 		} else {
 			ia.vals = plan.MoveI32(d.prog.P, ia.vals, ia.width)
-			d.prog.P.ComputeMem(len(ia.vals))
 		}
+		d.prog.P.ComputeMem(len(ia.vals))
 		ia.version++
 	}
 	d.dist = newDist
@@ -132,11 +131,7 @@ func (a *RealArray) Local() []float64 { return a.data }
 func (a *RealArray) Width() int { return a.width }
 
 // Zero clears the owned section.
-func (a *RealArray) Zero() {
-	for i := range a.data {
-		a.data[i] = 0
-	}
-}
+func (a *RealArray) Zero() { clear(a.data) }
 
 // SetByGlobal initializes each owned element from its global index.
 func (a *RealArray) SetByGlobal(f func(g int32, comp []float64)) {

@@ -3,9 +3,7 @@ package loopir
 import (
 	"fmt"
 
-	"repro/internal/comm"
-	"repro/internal/hashtab"
-	"repro/internal/schedule"
+	"repro/internal/adapt"
 )
 
 // PairIterBody is a PairLoop body that also receives the local iteration
@@ -25,49 +23,17 @@ type PairIterBody func(k int, xi, xj, fi, fj []float64)
 //
 // Both indirection arrays hash into one table with separate stamps, and the
 // loop uses a single merged schedule (§3.2.1) — the exact pattern the paper
-// optimizes for CHARMM's bonded and non-bonded loops.
+// optimizes for CHARMM's bonded and non-bonded loops. Redistributing either
+// decomposition starts the inspector from a fresh hash table.
 type PairLoop struct {
-	prog   *Program
-	ia, ib *IndArray // flat, width 1, aligned with the iteration decomposition
-	x, f   *RealArray
-	body   PairIterBody
-	// flopsPerIter is the modeled arithmetic cost of one body invocation.
-	flopsPerIter int
-
-	ht           *hashtab.Table
-	sa, sb       hashtab.Stamp
-	la, lb       []int32
-	sched        *schedule.Schedule
-	iaSeen       int64
-	ibSeen       int64
-	dataDistSeen int64
-	iterDistSeen int64
-	inspections  int
-
-	// Program-level optimization state, set by the fortd -O lowering (see
-	// SumLoop for the field semantics).
-	shared  *SharedSched
-	ma, mb  int
-	hoisted bool
-
-	// Adaptive self-scheduling executor state (nil = static executor) and
-	// the cumulative data-motion statistics of either executor path.
-	ss     *selfSched
-	motion comm.Stats
-
-	// Split-phase overlap executor state (overlap.go): the mode flag, the
-	// interior/boundary iteration split with the inspection count it was
-	// built at, and the per-iteration delta scratch.
-	overlap   bool
-	split     *schedule.Split
-	splitInsp int
-	odelta    []float64
+	loopCore
 }
 
 // NewPairLoop compiles the two-indirection reduction loop. ia and ib must
 // be flat width-1 indirection arrays aligned with the same iteration
 // decomposition; their values index the decomposition x and f are aligned
-// with (which may differ from the iteration decomposition).
+// with (which may differ from the iteration decomposition). flopsPerIter is
+// the modeled arithmetic cost of one body invocation.
 func (pr *Program) NewPairLoop(ia, ib *IndArray, x, f *RealArray, flopsPerIter int, body PairIterBody) *PairLoop {
 	if ia.ptr != nil || ib.ptr != nil || ia.width != 1 || ib.width != 1 {
 		panic("loopir: PairLoop requires flat width-1 indirection arrays")
@@ -81,130 +47,30 @@ func (pr *Program) NewPairLoop(ia, ib *IndArray, x, f *RealArray, flopsPerIter i
 	if x.width != f.width {
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
-	return &PairLoop{
-		prog: pr, ia: ia, ib: ib, x: x, f: f,
-		body: body, flopsPerIter: flopsPerIter,
-		iaSeen: -1, ibSeen: -1, dataDistSeen: -1, iterDistSeen: -1,
-	}
+	g := pr.privateSched([]*Decomposition{x.dec, ia.dec}, ia, ib)
+	return &PairLoop{loopCore{prog: pr, x: x, f: f, flops: flopsPerIter, pair: body, group: g, mb: 1, lowered: -1}}
 }
-
-// Inspections returns how many times the inspector actually ran. A loop
-// sharing a group schedule reports the group's count.
-func (l *PairLoop) Inspections() int {
-	if l.shared != nil {
-		return l.shared.inspections
-	}
-	return l.inspections
-}
-
-// Inspect runs the inspector if any recorded version is stale.
-func (l *PairLoop) Inspect() { l.maybeInspect() }
 
 // Share points the loop at a group schedule covering its data
 // decomposition; both indirection arrays join the group. Only legal for
 // loops the reuse analysis proved to have identical indirection usage.
 func (l *PairLoop) Share(g *SharedSched) {
-	if g.dec != l.x.dec {
+	if g.decs[0] != l.x.dec {
 		panic("loopir: PairLoop shared schedule must cover the data decomposition")
 	}
-	l.shared = g
-	l.ma = g.Add(l.ia)
-	l.mb = g.Add(l.ib)
+	ia, ib := l.group.members[l.ma], l.group.members[l.mb]
+	l.group, l.ma, l.mb, l.lowered = g, g.Add(ia), g.Add(ib), -1
 }
 
-// SetHoisted records that the inspector was hoisted out of the enclosing
-// time loop.
-func (l *PairLoop) SetHoisted(b bool) { l.hoisted = b }
-
-// chargeGuard models the per-execution guard bookkeeping (see
-// SumLoop.chargeGuard).
-func (l *PairLoop) chargeGuard(p *comm.Proc) {
-	if l.hoisted {
-		p.ComputeMem(l.ia.dec.NLocal())
-	} else {
-		p.ComputeMem(2 * l.ia.dec.NLocal())
+// SelfSched enables the adaptive self-scheduling executor mode for the
+// loop. kernel is the k-free stolen-iteration body; prm (optional, may be
+// nil) is a parameter array aligned with the iteration decomposition whose
+// row k is shipped to the thief alongside the pair values, covering bodies
+// like the bonded-force loop that read per-iteration constants. Results
+// stay bit-identical to the static Execute.
+func (l *PairLoop) SelfSched(ctl *adapt.Controller, prm *RealArray, kernel PairParamBody) {
+	if prm != nil && prm.dec != l.group.members[l.ma].dec {
+		panic("loopir: PairLoop self-scheduling parameters must be aligned with the iteration decomposition")
 	}
-}
-
-func (l *PairLoop) maybeInspect() {
-	if l.shared != nil {
-		l.shared.Inspect()
-		l.ht = l.shared.ht
-		l.la = l.shared.Loc(l.ma)
-		l.lb = l.shared.Loc(l.mb)
-		l.sched = l.shared.sched
-		return
-	}
-	dataV := l.x.dec.version
-	iterV := l.ia.dec.version
-	if l.ht != nil && l.iaSeen == l.ia.version && l.ibSeen == l.ib.version &&
-		l.dataDistSeen == dataV && l.iterDistSeen == iterV {
-		return
-	}
-	reg := l.prog.P.Phase("inspector")
-	if l.ht == nil || l.dataDistSeen != dataV || l.iterDistSeen != iterV {
-		// Data redistribution (or first run) invalidates translations.
-		l.ht = l.x.dec.dist.NewHashTable()
-		l.sa = l.ht.NewStamp()
-		l.sb = l.ht.NewStamp()
-	} else {
-		// One or both indirection arrays adapted: clear just their stamps;
-		// cached translations are reused.
-		l.ht.ClearStamp(l.sa)
-		l.ht.ClearStamp(l.sb)
-	}
-	l.la = l.ht.HashInto(l.la, l.ia.vals, l.sa)
-	l.lb = l.ht.HashInto(l.lb, l.ib.vals, l.sb)
-	l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.sa|l.sb, 0) // merged schedule
-	l.prog.P.ComputeMem(len(l.ia.vals) + len(l.ib.vals))
-	l.iaSeen = l.ia.version
-	l.ibSeen = l.ib.version
-	l.dataDistSeen = dataV
-	l.iterDistSeen = iterV
-	l.inspections++
-	reg.End()
-}
-
-// Execute runs the loop once: gather x ghosts, run the body per iteration,
-// scatter-add the contributions, accumulate into f. Collective.
-func (l *PairLoop) Execute() {
-	if l.ss != nil {
-		l.executeSelfSched()
-		return
-	}
-	l.maybeInspect()
-	if l.overlap {
-		l.ensureSplit()
-		l.executeOverlap()
-		return
-	}
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
-	l.chargeGuard(p)
-
-	xb := make([]float64, nBuf*w)
-	copy(xb, l.x.data)
-	s0 := p.Stats()
-	schedule.GatherW(p, l.sched, xb, w)
-	l.motion.Add(p.Stats().Sub(s0))
-
-	fb := make([]float64, nBuf*w)
-	for k := 0; k < l.ia.dec.NLocal(); k++ {
-		i := int(l.la[k])
-		j := int(l.lb[k])
-		l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
-	}
-	p.ComputeFlops(l.flopsPerIter * l.ia.dec.NLocal())
-
-	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < l.x.dec.NLocal()*w; i++ {
-		l.f.data[i] += fb[i]
-	}
-	p.ComputeMem(l.x.dec.NLocal() * w)
+	l.selfSchedule(ctl, prm, kernel)
 }

@@ -22,47 +22,24 @@ const (
 type PairParamBody func(prm, xi, xj, fi, fj []float64)
 
 // selfSched holds the per-loop state of the adaptive self-scheduling
-// executor mode. The executor cuts the local iteration space into whole-row
-// chunks sized by the controller, has every rank estimate its chunk costs
-// from the observed per-unit cost, AllReduces the estimates, and executes
-// the deterministic steal plan all ranks derive from the reduced view.
+// executor mode. The executor cuts the local iteration space into chunks of
+// whole segments (rows of a SumLoop, so stealing one never splits a
+// reduction group) sized by the controller, has every rank estimate its
+// chunk costs from the observed per-unit cost, AllReduces the estimates,
+// and executes the deterministic steal plan all ranks derive from them.
 // Stolen contributions come back as per-pair deltas the owner replays in
-// exact static iteration order, so every REAL array stays bit-identical to
-// the static schedule.
+// exact static iteration order, so every REAL array stays bit-identical.
 type selfSched struct {
 	ctl    *adapt.Controller
 	kernel PairParamBody // PairLoop only
-	prm    *RealArray    // PairLoop only, may be nil
+	prm    *RealArray    // shipped per-iteration parameters (width 0: none)
 
-	chunkEnd   []int32   // exclusive end row/iteration of each chunk
+	chunkAt    []int32   // chunk c is iterations [chunkAt[c], chunkAt[c+1])
 	chunkCost  []float64 // estimated chunk costs fed to the planner
-	chunkUnits []int     // pairs/iterations per chunk
-	chunkAlias []bool    // chunk contains an aliased (i==j) pair
+	chunkUnits []int     // iterations per chunk
+	stealable  int       // trailing chunks free of aliased iterations
 
-	xb, fb  []float64 // persistent gather/reduce buffers
 	payload []float64 // donor->thief input staging
-	delta   []float64 // thief->donor delta staging
-}
-
-// chunkRows returns the [start, end) row range of local chunk c.
-func (ss *selfSched) chunkRows(c int) (int, int) {
-	if c == 0 {
-		return 0, int(ss.chunkEnd[0])
-	}
-	return int(ss.chunkEnd[c-1]), int(ss.chunkEnd[c])
-}
-
-// stealableSuffix counts the trailing chunks free of aliased pairs. An
-// aliased pair (i == j) makes fi and fj one slot: the static executor
-// applies the body's two adds in the body's own internal order, which a
-// delta replay (always fi then fj) cannot reproduce bit-exactly — so such
-// chunks are never offered to the planner.
-func (ss *selfSched) stealableSuffix() int {
-	s := 0
-	for c := len(ss.chunkAlias) - 1; c >= 0 && !ss.chunkAlias[c]; c-- {
-		s++
-	}
-	return s
 }
 
 // costNow is the executor's cost reading for chunk observation: the virtual
@@ -76,119 +53,87 @@ func costNow(p *comm.Proc) float64 {
 	return p.Clock()
 }
 
-// grow returns s with length n, reusing capacity when possible. Contents
-// are unspecified.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// selfSchedule enables the mode with ctl; prm (may be nil) is shipped with
+// stolen iterations to kernel. Per stolen iteration 2w+pw float64 inputs go
+// out and 2w deltas come back on the wire; the donor packs them and replays
+// 2w slots, the thief stores 2w.
+func (c *loopCore) selfSchedule(ctl *adapt.Controller, prm *RealArray, kernel PairParamBody) {
+	if prm == nil {
+		prm = &RealArray{} // width 0: nothing shipped
 	}
-	return s[:n]
+	w, pw := c.x.width, prm.width
+	ctl.Configure(c.prog.P.Machine(), c.flops, 8*(4*w+pw), 4*w+pw, 2*w)
+	c.ss = &selfSched{ctl: ctl, kernel: kernel, prm: prm}
 }
 
-// SelfSched enables the adaptive self-scheduling executor mode for the
-// loop. Results stay bit-identical to the static Execute; only the virtual
-// (and measured) timeline changes. ctl must be dedicated to this loop.
-func (l *SumLoop) SelfSched(ctl *adapt.Controller) {
-	w := l.x.width
-	// Per stolen pair: 2w float64 inputs out and 2w deltas back on the
-	// wire; the donor packs 2w and replays 2w slots, the thief stores 2w.
-	ctl.Configure(l.prog.P.Machine(), l.flopsPerPair, 8*4*w, 4*w, 2*w)
-	l.ss = &selfSched{ctl: ctl}
-}
-
-// DataMotion returns the cumulative communication statistics of the
-// executor's data-motion phase (gather + scatter) across all Execute calls,
-// for either executor mode.
-func (l *SumLoop) DataMotion() comm.Stats { return l.motion }
-
-// executeSelfSched is the self-scheduling counterpart of Execute.
-func (l *SumLoop) executeSelfSched() {
-	l.maybeInspect()
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	ss := l.ss
-	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
-	l.chargeGuard(p, nLocal)
-
-	ss.xb = grow(ss.xb, nBuf*w)
-	copy(ss.xb, l.x.data)
-	s0 := p.Stats()
-	// Overlap mode hides the reduce-buffer zeroing and chunk cutting behind
-	// the gather: neither touches ghost x values, and both are uncharged
-	// until after Wait (the split-phase no-charge contract), so the virtual
-	// timeline is bit-identical to the blocking gather below.
-	var gm *schedule.Motion
-	var ov comm.PhaseRegion
-	if l.overlap {
-		gm = schedule.GatherWStart(p, l.sched, ss.xb, w)
-		ov = p.Phase(PhaseOverlap)
-	} else {
-		schedule.GatherW(p, l.sched, ss.xb, w)
-		l.motion.Add(p.Stats().Sub(s0))
-	}
-
-	ss.fb = grow(ss.fb, nBuf*w)
-	for i := range ss.fb {
-		ss.fb[i] = 0
-	}
-
-	// Cut the local rows into whole-row chunks of about ChunkUnits pairs:
-	// a chunk is an owner-aligned block, so stealing one never splits a
-	// reduction group.
-	nRows := l.ind.dec.NLocal()
-	ptr := l.ind.ptr
-	target := ss.ctl.ChunkUnits(int(ptr[nRows]))
-	ss.chunkEnd = ss.chunkEnd[:0]
+// cut splits the iteration space into chunks of whole segments holding
+// about ChunkUnits iterations each, and counts the trailing chunks free of
+// aliased iterations. An aliased iteration (i == j) makes fi and fj one
+// slot: the static executor applies the body's two adds in the body's own
+// internal order, which a delta replay (always fi then fj) cannot
+// reproduce bit-exactly — so such chunks are never offered to the planner.
+func (ss *selfSched) cut(c *loopCore) {
+	target := ss.ctl.ChunkUnits(len(c.la))
+	ss.chunkAt = append(ss.chunkAt[:0], 0)
 	ss.chunkCost = ss.chunkCost[:0]
 	ss.chunkUnits = ss.chunkUnits[:0]
-	ss.chunkAlias = ss.chunkAlias[:0]
-	loc := l.loc
-	for row := 0; row < nRows; {
-		count := 0
-		alias := false
-		end := row
-		for end < nRows {
-			for k := ptr[end]; k < ptr[end+1]; k++ {
-				if int(loc[k]) == end {
-					alias = true
-				}
-			}
-			count += int(ptr[end+1] - ptr[end])
-			end++
-			if count >= target {
-				break
+	ss.stealable = 0
+	for s, n := 0, len(c.seg)-1; s < n; {
+		lo, hi := int(c.seg[s]), int(c.seg[s+1])
+		for s++; s < n && hi-lo < target; s++ {
+			hi = int(c.seg[s+1])
+		}
+		ss.stealable++
+		for k := lo; k < hi; k++ {
+			if c.la[k] == c.lb[k] {
+				ss.stealable = 0
 			}
 		}
-		ss.chunkEnd = append(ss.chunkEnd, int32(end))
-		ss.chunkCost = append(ss.chunkCost, float64(count)*ss.ctl.CostPerUnit())
-		ss.chunkUnits = append(ss.chunkUnits, count)
-		ss.chunkAlias = append(ss.chunkAlias, alias)
-		row = end
+		ss.chunkAt = append(ss.chunkAt, int32(hi))
+		ss.chunkCost = append(ss.chunkCost, float64(hi-lo)*ss.ctl.CostPerUnit())
+		ss.chunkUnits = append(ss.chunkUnits, hi-lo)
 	}
-	if gm != nil {
+}
+
+// executeSelfSched is the self-scheduling executor (buffers staged).
+func (c *loopCore) executeSelfSched(p *comm.Proc) {
+	ss := c.ss
+	w := c.x.width
+	s0 := p.Stats()
+	// Overlap mode hides the chunk cutting behind the gather: it touches no
+	// ghost x value and is uncharged until after Wait (the split-phase
+	// no-charge contract), so the virtual timeline is bit-identical to the
+	// blocking gather.
+	if c.overlap {
+		gm := schedule.GatherWStart(p, c.group.sched, c.xb, w)
+		ov := p.Phase(PhaseOverlap)
+		ss.cut(c)
 		ov.End()
 		gm.Wait()
-		l.motion.Add(p.Stats().Sub(s0))
+	} else {
+		schedule.GatherW(p, c.group.sched, c.xb, w)
+		ss.cut(c)
 	}
-	p.ComputeMem(nRows + len(ss.chunkEnd)) // chunk-bounds bookkeeping
+	c.motion.Add(p.Stats().Sub(s0))
+	// Chunk-bounds bookkeeping: one bound per chunk, plus the CSR row
+	// extents read when the segments are rows.
+	nChunks := len(ss.chunkUnits)
+	p.ComputeMem(c.csrRows + nChunks)
 
-	ss.ctl.Plan(p, ss.chunkCost, ss.chunkUnits, ss.stealableSuffix())
+	ss.ctl.Plan(p, ss.chunkCost, ss.chunkUnits, ss.stealable)
 
+	pw, prm := ss.prm.width, ss.prm.data
 	// Donor: pack and send stolen chunk inputs up front (sends are
 	// non-blocking), in ascending chunk order so each thief's FIFO stream
 	// matches the replay order below.
 	for _, st := range ss.ctl.Sends() {
-		r0, r1 := ss.chunkRows(st.Chunk)
+		k0, k1 := int(ss.chunkAt[st.Chunk]), int(ss.chunkAt[st.Chunk+1])
 		ss.payload = ss.payload[:0]
-		for i := r0; i < r1; i++ {
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(loc[k])
-				ss.payload = append(ss.payload, ss.xb[i*w:(i+1)*w]...)
-				ss.payload = append(ss.payload, ss.xb[j*w:(j+1)*w]...)
-			}
+		for k := k0; k < k1; k++ {
+			i, j := int(c.la[k])*w, int(c.lb[k])*w
+			ss.payload = append(ss.payload, c.xb[i:i+w]...)
+			ss.payload = append(ss.payload, c.xb[j:j+w]...)
+			ss.payload = append(ss.payload, prm[k*pw:(k+1)*pw]...)
 		}
 		p.ComputeMem(len(ss.payload))
 		p.SendF64Buf(st.Thief, tagStealIn, ss.payload)
@@ -196,249 +141,56 @@ func (l *SumLoop) executeSelfSched() {
 
 	// Local chunks: everything below the stolen suffix, in static order,
 	// with per-chunk cost observation feeding the controller.
-	localChunks := len(ss.chunkEnd) - len(ss.ctl.Sends())
-	start := 0
-	for c := 0; c < localChunks; c++ {
-		end := int(ss.chunkEnd[c])
+	for ch := 0; ch < nChunks-len(ss.ctl.Sends()); ch++ {
+		k0, k1 := int(ss.chunkAt[ch]), int(ss.chunkAt[ch+1])
 		t0 := costNow(p)
-		cp := 0
-		for i := start; i < end; i++ {
-			xi := ss.xb[i*w : (i+1)*w]
-			fi := ss.fb[i*w : (i+1)*w]
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(loc[k])
-				l.body(xi, ss.xb[j*w:(j+1)*w], fi, ss.fb[j*w:(j+1)*w])
-				cp++
-			}
-		}
-		p.ComputeFlops(l.flopsPerPair * cp)
-		ss.ctl.Observe(cp, costNow(p)-t0)
-		start = end
+		c.run(c.xb, c.fb, k0, k1)
+		p.ComputeFlops(c.flops * (k1 - k0))
+		ss.ctl.Observe(k1-k0, costNow(p)-t0)
 	}
 
-	// Thief: run stolen chunks into zeroed delta slots and send the
-	// per-pair deltas back. The body only adds into its fi/fj slots, so a
+	// Thief: run stolen chunks (packed rec wide) into zeroed delta slots and
+	// send the per-pair deltas back. The body only adds into its fi/fj slots, so a
 	// delta computed from zeros is exactly the contribution the static
 	// schedule would have added in place.
+	rec := 2*w + pw
 	for _, st := range ss.ctl.Work() {
 		ss.payload = p.RecvF64Into(st.Donor, tagStealIn, ss.payload)
-		n := len(ss.payload) / (2 * w)
-		ss.delta = grow(ss.delta, 2*n*w)
-		for i := range ss.delta {
-			ss.delta[i] = 0
+		n := len(ss.payload) / rec
+		c.delta = grow(c.delta, 2*n*w)
+		clear(c.delta)
+		if body := c.sum; body != nil {
+			for q := 0; q < n; q++ {
+				x, d := ss.payload[q*rec:(q+1)*rec], c.delta[q*2*w:(q+1)*2*w]
+				body(x[:w], x[w:2*w], d[:w], d[w:])
+			}
+		} else {
+			for q := 0; q < n; q++ {
+				x, d := ss.payload[q*rec:(q+1)*rec], c.delta[q*2*w:(q+1)*2*w]
+				ss.kernel(x[2*w:], x[:w], x[w:2*w], d[:w], d[w:])
+			}
 		}
-		for q := 0; q < n; q++ {
-			in := ss.payload[q*2*w : (q+1)*2*w]
-			out := ss.delta[q*2*w : (q+1)*2*w]
-			l.body(in[:w], in[w:], out[:w], out[w:])
-		}
-		p.ComputeFlops(l.flopsPerPair * n)
+		p.ComputeFlops(c.flops * n)
 		p.ComputeMem(len(ss.payload))
-		p.SendF64Buf(st.Donor, tagStealOut, ss.delta)
+		p.SendF64Buf(st.Donor, tagStealOut, c.delta)
 	}
 
 	// Owner: replay stolen contributions after all local chunks, ascending
 	// chunk order, one fi/fj add per pair in static iteration order — the
 	// same combine order per owner as the static schedule, bit-exact.
 	for _, st := range ss.ctl.Sends() {
-		r0, r1 := ss.chunkRows(st.Chunk)
-		ss.delta = p.RecvF64Into(st.Thief, tagStealOut, ss.delta)
-		q := 0
-		for i := r0; i < r1; i++ {
-			fi := ss.fb[i*w : (i+1)*w]
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				fj := ss.fb[int(loc[k])*w:]
-				d := ss.delta[q*2*w:]
-				for c := 0; c < w; c++ {
-					fi[c] += d[c]
-				}
-				for c := 0; c < w; c++ {
-					fj[c] += d[w+c]
-				}
-				q++
-			}
+		k0, k1 := int(ss.chunkAt[st.Chunk]), int(ss.chunkAt[st.Chunk+1])
+		c.delta = p.RecvF64Into(st.Thief, tagStealOut, c.delta)
+		for k := k0; k < k1; k++ {
+			i, j := int(c.la[k])*w, int(c.lb[k])*w
+			d := c.delta[(k-k0)*2*w:]
+			addInto(c.fb[i:i+w], d[:w])
+			addInto(c.fb[j:j+w], d[w:2*w])
 		}
-		p.ComputeMem(len(ss.delta))
+		p.ComputeMem(len(c.delta))
 	}
 
 	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, ss.fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < nRows*w; i++ {
-		l.f.data[i] += ss.fb[i]
-	}
-	p.ComputeMem(nRows * w)
-}
-
-// SelfSched enables the adaptive self-scheduling executor mode for the
-// loop. kernel is the k-free stolen-iteration body; prm (optional, may be
-// nil) is a parameter array aligned with the iteration decomposition whose
-// row k is shipped to the thief alongside the pair values, covering bodies
-// like the bonded-force loop that read per-iteration constants. Results
-// stay bit-identical to the static Execute.
-func (l *PairLoop) SelfSched(ctl *adapt.Controller, prm *RealArray, kernel PairParamBody) {
-	if prm != nil && prm.dec != l.ia.dec {
-		panic("loopir: PairLoop self-scheduling parameters must be aligned with the iteration decomposition")
-	}
-	w := l.x.width
-	pw := 0
-	if prm != nil {
-		pw = prm.width
-	}
-	// Per stolen iteration: 2w+pw float64 inputs out, 2w deltas back.
-	ctl.Configure(l.prog.P.Machine(), l.flopsPerIter, 8*(4*w+pw), 4*w+pw, 2*w)
-	l.ss = &selfSched{ctl: ctl, kernel: kernel, prm: prm}
-}
-
-// DataMotion returns the cumulative communication statistics of the
-// executor's data-motion phase (gather + scatter) across all Execute calls,
-// for either executor mode.
-func (l *PairLoop) DataMotion() comm.Stats { return l.motion }
-
-// executeSelfSched is the self-scheduling counterpart of Execute.
-func (l *PairLoop) executeSelfSched() {
-	l.maybeInspect()
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	ss := l.ss
-	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
-	l.chargeGuard(p)
-
-	ss.xb = grow(ss.xb, nBuf*w)
-	copy(ss.xb, l.x.data)
-	s0 := p.Stats()
-	// Overlap mode: see the SumLoop executeSelfSched counterpart.
-	var gm *schedule.Motion
-	var ov comm.PhaseRegion
-	if l.overlap {
-		gm = schedule.GatherWStart(p, l.sched, ss.xb, w)
-		ov = p.Phase(PhaseOverlap)
-	} else {
-		schedule.GatherW(p, l.sched, ss.xb, w)
-		l.motion.Add(p.Stats().Sub(s0))
-	}
-
-	ss.fb = grow(ss.fb, nBuf*w)
-	for i := range ss.fb {
-		ss.fb[i] = 0
-	}
-
-	// Chunks are iteration ranges; each iteration is its own reduction
-	// group (one fi add, one fj add), so any cut is owner-aligned.
-	nIter := l.ia.dec.NLocal()
-	target := ss.ctl.ChunkUnits(nIter)
-	ss.chunkEnd = ss.chunkEnd[:0]
-	ss.chunkCost = ss.chunkCost[:0]
-	ss.chunkUnits = ss.chunkUnits[:0]
-	ss.chunkAlias = ss.chunkAlias[:0]
-	for k := 0; k < nIter; k += target {
-		end := k + target
-		if end > nIter {
-			end = nIter
-		}
-		alias := false
-		for q := k; q < end; q++ {
-			if l.la[q] == l.lb[q] {
-				alias = true
-			}
-		}
-		ss.chunkEnd = append(ss.chunkEnd, int32(end))
-		ss.chunkCost = append(ss.chunkCost, float64(end-k)*ss.ctl.CostPerUnit())
-		ss.chunkUnits = append(ss.chunkUnits, end-k)
-		ss.chunkAlias = append(ss.chunkAlias, alias)
-	}
-	if gm != nil {
-		ov.End()
-		gm.Wait()
-		l.motion.Add(p.Stats().Sub(s0))
-	}
-	p.ComputeMem(len(ss.chunkEnd)) // chunk-bounds bookkeeping
-
-	ss.ctl.Plan(p, ss.chunkCost, ss.chunkUnits, ss.stealableSuffix())
-
-	pw := 0
-	var prm []float64
-	if ss.prm != nil {
-		pw = ss.prm.width
-		prm = ss.prm.data
-	}
-	rec := 2*w + pw
-
-	for _, st := range ss.ctl.Sends() {
-		k0, k1 := ss.chunkRows(st.Chunk)
-		ss.payload = ss.payload[:0]
-		for k := k0; k < k1; k++ {
-			i := int(l.la[k])
-			j := int(l.lb[k])
-			ss.payload = append(ss.payload, ss.xb[i*w:(i+1)*w]...)
-			ss.payload = append(ss.payload, ss.xb[j*w:(j+1)*w]...)
-			if pw > 0 {
-				ss.payload = append(ss.payload, prm[k*pw:(k+1)*pw]...)
-			}
-		}
-		p.ComputeMem(len(ss.payload))
-		p.SendF64Buf(st.Thief, tagStealIn, ss.payload)
-	}
-
-	localChunks := len(ss.chunkEnd) - len(ss.ctl.Sends())
-	start := 0
-	for c := 0; c < localChunks; c++ {
-		end := int(ss.chunkEnd[c])
-		t0 := costNow(p)
-		for k := start; k < end; k++ {
-			i := int(l.la[k])
-			j := int(l.lb[k])
-			l.body(k, ss.xb[i*w:(i+1)*w], ss.xb[j*w:(j+1)*w], ss.fb[i*w:(i+1)*w], ss.fb[j*w:(j+1)*w])
-		}
-		p.ComputeFlops(l.flopsPerIter * (end - start))
-		ss.ctl.Observe(end-start, costNow(p)-t0)
-		start = end
-	}
-
-	for _, st := range ss.ctl.Work() {
-		ss.payload = p.RecvF64Into(st.Donor, tagStealIn, ss.payload)
-		n := len(ss.payload) / rec
-		ss.delta = grow(ss.delta, 2*n*w)
-		for i := range ss.delta {
-			ss.delta[i] = 0
-		}
-		for q := 0; q < n; q++ {
-			in := ss.payload[q*rec : (q+1)*rec]
-			out := ss.delta[q*2*w : (q+1)*2*w]
-			ss.kernel(in[2*w:], in[:w], in[w:2*w], out[:w], out[w:])
-		}
-		p.ComputeFlops(l.flopsPerIter * n)
-		p.ComputeMem(len(ss.payload))
-		p.SendF64Buf(st.Donor, tagStealOut, ss.delta)
-	}
-
-	for _, st := range ss.ctl.Sends() {
-		k0, k1 := ss.chunkRows(st.Chunk)
-		ss.delta = p.RecvF64Into(st.Thief, tagStealOut, ss.delta)
-		q := 0
-		for k := k0; k < k1; k++ {
-			fi := ss.fb[int(l.la[k])*w:]
-			fj := ss.fb[int(l.lb[k])*w:]
-			d := ss.delta[q*2*w:]
-			for c := 0; c < w; c++ {
-				fi[c] += d[c]
-			}
-			for c := 0; c < w; c++ {
-				fj[c] += d[w+c]
-			}
-			q++
-		}
-		p.ComputeMem(len(ss.delta))
-	}
-
-	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, ss.fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < l.x.dec.NLocal()*w; i++ {
-		l.f.data[i] += ss.fb[i]
-	}
-	p.ComputeMem(l.x.dec.NLocal() * w)
+	schedule.ScatterW(p, c.group.sched, c.fb, w, schedule.OpAdd)
+	c.motion.Add(p.Stats().Sub(s1))
 }

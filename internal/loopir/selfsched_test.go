@@ -230,46 +230,96 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 	}
 }
 
-// TestAdaptSteadyStateAllocs pins the PR 3/PR 5 discipline on the new
-// executor path: once warm, a self-scheduled Execute (chunking, planning
-// AllReduce, steal traffic, replay) allocates nothing on any rank.
+// TestAdaptSteadyStateAllocs pins the PR 3/PR 5 discipline on every
+// executor mode of both loop kinds: once warm, an Execute (or a fused
+// ExecuteFused* run) allocates nothing on any rank — buffers, chunking,
+// the planning AllReduce, steal traffic, replay and the split-phase
+// windows included.
 func TestAdaptSteadyStateAllocs(t *testing.T) {
-	const n = 192
 	const nprocs = 4
-	gptr, gvals := skewedCSR(n, 16, 1, 11)
-	x0 := make([]float64, n)
-	for i := range x0 {
-		x0[i] = float64(i) * 0.5
+	for _, kind := range []string{"sum", "pair"} {
+		for _, m := range goldenModes {
+			got := make([]float64, nprocs)
+			steals := 0
+			comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+				exec, ctl := allocsLoop(p, kind, m)
+				for i := 0; i < 5; i++ {
+					exec()
+				}
+				got[p.Rank()] = testing.AllocsPerRun(20, exec)
+				if ctl != nil && p.Rank() == 0 {
+					steals = len(ctl.Steals())
+				}
+			})
+			if kind == "sum" && m.self && steals == 0 {
+				t.Fatalf("%s/%s: steady state has no steals; the alloc test does not cover the steal path", kind, m.name)
+			}
+			for r, a := range got {
+				if a != 0 {
+					t.Errorf("%s/%s rank %d: %v allocs/op in steady-state Execute, want 0", kind, m.name, r, a)
+				}
+			}
+		}
 	}
-	got := make([]float64, nprocs)
-	plan := 0
-	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(n)
-		x := dec.AlignReal(1)
-		f := dec.AlignReal(1)
-		x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
+}
+
+// allocsLoop builds the loop (and, in shared+fused mode, a second loop
+// sharing its schedule) of TestAdaptSteadyStateAllocs and returns one
+// execution plus the self-scheduling controller, if any.
+func allocsLoop(p *comm.Proc, kind string, m goldenMode) (func(), *adapt.Controller) {
+	const n = 192
+	prog := NewProgram(p)
+	dec := prog.Decomposition(n)
+	x, f, g := dec.AlignReal(1), dec.AlignReal(1), dec.AlignReal(1)
+	x.SetByGlobal(func(gi int32, c []float64) { c[0] = float64(gi) * 0.5 })
+	var ctl *adapt.Controller
+	if m.self {
+		ctl = adapt.NewController()
+	}
+	gr := prog.NewSharedSched(dec)
+	if kind == "sum" {
+		gptr, gvals := skewedCSR(n, 16, 1, 11)
 		ind := dec.AlignIndCSR()
-		ptr, vals := localizeCSR(p, n, gptr, gvals)
-		ind.SetCSR(ptr, vals)
-		ctl := adapt.NewController()
-		loop := prog.NewSumLoop(ind, x, f, 50, figure10Body)
-		loop.SelfSched(ctl)
-		body := func() { loop.Execute() }
-		for i := 0; i < 5; i++ {
-			body()
+		ind.SetCSR(localizeCSR(p, n, gptr, gvals))
+		l1 := prog.NewSumLoop(ind, x, f, 50, figure10Body)
+		l2 := prog.NewSumLoop(ind, x, g, 10, halfBody)
+		if ctl != nil {
+			l1.SelfSched(ctl)
 		}
-		got[p.Rank()] = testing.AllocsPerRun(20, body)
-		if p.Rank() == 0 {
-			plan = len(ctl.Steals())
+		l1.Overlap(m.overlap)
+		l1.SetHoisted(m.hoisted)
+		if m.fused {
+			l1.Share(gr)
+			l2.Share(gr)
+			return func() { ExecuteFusedSum([]*SumLoop{l1, l2}) }, ctl
 		}
+		return l1.Execute, ctl
+	}
+	const nBonds = 600
+	bonds := prog.Decomposition(nBonds)
+	prm := bonds.AlignReal(1)
+	prm.SetByGlobal(func(gi int32, c []float64) { c[0] = 1 + float64(gi%5) })
+	ia, ib := bonds.AlignIndFlat(1), bonds.AlignIndFlat(1)
+	va, vb := make([]int32, bonds.NLocal()), make([]int32, bonds.NLocal())
+	for i, gi := range bonds.Globals() {
+		va[i], vb[i] = (gi*7)%n, (gi*13+5)%n
+	}
+	ia.SetFlat(va)
+	ib.SetFlat(vb)
+	l1 := prog.NewPairLoop(ia, ib, x, f, 50, func(k int, xi, xj, fi, fj []float64) {
+		pairParamKernel(prm.Local()[k:k+1], xi, xj, fi, fj)
 	})
-	if plan == 0 {
-		t.Fatal("steady state has no steals; the alloc test does not cover the steal path")
+	l2 := prog.NewPairLoop(ia, ib, x, g, 10, bondBody)
+	if ctl != nil {
+		ctl.MinChunkUnits = 8
+		l1.SelfSched(ctl, prm, pairParamKernel)
 	}
-	for r, a := range got {
-		if a != 0 {
-			t.Errorf("rank %d: %v allocs/op in self-scheduled Execute steady state, want 0", r, a)
-		}
+	l1.Overlap(m.overlap)
+	l1.SetHoisted(m.hoisted)
+	if m.fused {
+		l1.Share(gr)
+		l2.Share(gr)
+		return func() { ExecuteFusedPair([]*PairLoop{l1, l2}) }, ctl
 	}
+	return l1.Execute, ctl
 }

@@ -1,6 +1,8 @@
 package loopir
 
 import (
+	"fmt"
+
 	"repro/internal/hashtab"
 	"repro/internal/schedule"
 )
@@ -18,12 +20,16 @@ import (
 // usage, the merged element set equals every member loop's own set, so
 // executing a loop against the group schedule moves exactly the bytes the
 // per-loop schedule would — results stay bit-identical to unshared
-// lowering.
+// lowering. A loop that shares nothing runs its inspector through a
+// private group of its own.
 type SharedSched struct {
 	prog *Program
-	// dec is the data decomposition the members' values index (for pair
-	// loops this is the data decomposition, not the iteration one).
-	dec     *Decomposition
+	// decs[0] is the data decomposition the members' values index (for pair
+	// loops the data decomposition, not the iteration one). Redistributing
+	// any of decs invalidates every translation.
+	decs    []*Decomposition
+	decSeen []int64
+	private bool
 	members []*IndArray
 	seen    []int64 // recorded member versions (§5.3 modification records)
 
@@ -31,14 +37,27 @@ type SharedSched struct {
 	stamps      []hashtab.Stamp
 	locs        [][]int32
 	sched       *schedule.Schedule
-	distSeen    int64
 	inspections int
+
+	// ExecuteFused* scratch, reused across calls.
+	cores    []*loopCore
+	xbs, fbs [][]float64
+	xw, fw   []int
 }
 
 // NewSharedSched creates an empty schedule group over the data
 // decomposition dec.
 func (pr *Program) NewSharedSched(dec *Decomposition) *SharedSched {
-	return &SharedSched{prog: pr, dec: dec, distSeen: -1}
+	return &SharedSched{prog: pr, decs: []*Decomposition{dec}, decSeen: []int64{0}}
+}
+
+// privateSched is the group of a loop that shares none: one member per
+// indirection array (no deduplication), rebuilt from a fresh table when any
+// of decs is redistributed. Recorded versions start stale because ht is nil.
+func (pr *Program) privateSched(decs []*Decomposition, members ...*IndArray) *SharedSched {
+	n := len(members)
+	return &SharedSched{prog: pr, decs: decs, decSeen: make([]int64, len(decs)), private: true,
+		members: members, seen: make([]int64, n), stamps: make([]hashtab.Stamp, n), locs: make([][]int32, n)}
 }
 
 // Add registers an indirection array with the group and returns its member
@@ -51,7 +70,7 @@ func (g *SharedSched) Add(ia *IndArray) int {
 		}
 	}
 	g.members = append(g.members, ia)
-	g.seen = append(g.seen, -1)
+	g.seen = append(g.seen, 0)
 	g.stamps = append(g.stamps, 0)
 	g.locs = append(g.locs, nil)
 	g.ht = nil // membership changed: force a full build on next Inspect
@@ -66,28 +85,31 @@ func (g *SharedSched) Loc(m int) []int32 { return g.locs[m] }
 
 // Inspect runs the group inspector if any recorded version is stale: one
 // hash table, one stamp per member, one merged schedule build — the shared
-// preprocessing all member loops then execute against. Collective (all
-// ranks reach the same staleness verdict because versions advance in
-// collective calls).
+// preprocessing all member loops then execute against. A redistribution
+// (or the first run) starts from a fresh table; a member that merely
+// adapted has the stamps cleared and rehashed, reusing cached translations.
+// Collective (all ranks reach the same staleness verdict because versions
+// advance in collective calls).
 func (g *SharedSched) Inspect() {
-	stale := g.ht == nil || g.distSeen != g.dec.version
+	fresh := g.ht == nil
+	for d, dec := range g.decs {
+		fresh = fresh || g.decSeen[d] != dec.version
+		g.decSeen[d] = dec.version
+	}
+	stale := fresh
 	for m, ia := range g.members {
-		if g.seen[m] != ia.version {
-			stale = true
-		}
+		stale = stale || g.seen[m] != ia.version
+		g.seen[m] = ia.version
 	}
 	if !stale {
 		return
 	}
-	reg := g.prog.P.Phase("inspector")
-	if g.ht == nil || g.distSeen != g.dec.version {
-		// Redistribution (or first run) invalidates everything.
-		g.ht = g.dec.dist.NewHashTable()
+	if fresh {
+		g.ht = g.decs[0].dist.NewHashTable()
 		for m := range g.members {
 			g.stamps[m] = g.ht.NewStamp()
 		}
 	} else {
-		// Some member adapted: clear the stamps, reuse cached translations.
 		for _, s := range g.stamps {
 			g.ht.ClearStamp(s)
 		}
@@ -100,13 +122,12 @@ func (g *SharedSched) Inspect() {
 		total += len(ia.vals)
 	}
 	g.sched = schedule.BuildInto(g.sched, g.prog.P, g.ht, include, 0)
+	// Generated inspectors drive the hash and schedule calls through
+	// runtime descriptors rather than specialized code; the constant-factor
+	// interpretation overhead is what separates the Inspector columns of
+	// Table 6.
 	g.prog.P.ComputeMem(total)
-	g.distSeen = g.dec.version
-	for m, ia := range g.members {
-		g.seen[m] = ia.version
-	}
 	g.inspections++
-	reg.End()
 }
 
 // ExecuteFusedSum executes a run of SumLoops that share one SharedSched as
@@ -116,153 +137,83 @@ func (g *SharedSched) Inspect() {
 // The communication-fusion legality analysis guarantees no loop reads an
 // array an earlier run member reduces into, so values (and float addition
 // order) are bit-identical to executing the loops back to back — only the
-// message count drops. Collective.
-func ExecuteFusedSum(loops []*SumLoop) {
-	if len(loops) == 1 {
-		loops[0].Execute()
-		return
-	}
-	g := loops[0].shared
-	for _, l := range loops {
-		if l.shared == nil || l.shared != g {
-			panic("loopir: fused sum loops must share one SharedSched")
-		}
-		l.maybeInspect()
-	}
-	p := g.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	nLocal := g.ht.NLocal()
-	nBuf := nLocal + g.ht.NGhosts()
-
-	// Fused gather: one ghost buffer per distinct read array.
-	var xs []*RealArray
-	var xbs [][]float64
-	var xw []int
-	xbFor := make([]int, len(loops))
-	for li, l := range loops {
-		found := -1
-		for i, x := range xs {
-			if x == l.x {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			xb := make([]float64, nBuf*l.x.width)
-			copy(xb, l.x.data)
-			xs = append(xs, l.x)
-			xbs = append(xbs, xb)
-			xw = append(xw, l.x.width)
-			found = len(xs) - 1
-		}
-		xbFor[li] = found
-	}
-	schedule.GatherWMulti(p, g.sched, xbs, xw)
-
-	// Loop bodies in program order, each into its own contribution buffer.
-	fbs := make([][]float64, len(loops))
-	fw := make([]int, len(loops))
-	for li, l := range loops {
-		w := l.x.width
-		l.chargeGuard(p, nLocal)
-		xb := xbs[xbFor[li]]
-		fb := make([]float64, nBuf*w)
-		ptr := l.ind.ptr
-		pairs := 0
-		for i := 0; i < l.ind.dec.NLocal(); i++ {
-			xi := xb[i*w : (i+1)*w]
-			fi := fb[i*w : (i+1)*w]
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(l.loc[k])
-				l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
-				pairs++
-			}
-		}
-		p.ComputeFlops(l.flopsPerPair * pairs)
-		fbs[li] = fb
-		fw[li] = w
-	}
-
-	// Fused scatter-add, then the sequential accumulations.
-	schedule.ScatterWMulti(p, g.sched, fbs, fw, schedule.OpAdd)
-	for li, l := range loops {
-		w := l.x.width
-		for i := 0; i < l.ind.dec.NLocal()*w; i++ {
-			l.f.data[i] += fbs[li][i]
-		}
-		p.ComputeMem(l.ind.dec.NLocal() * w)
-	}
-}
+// message count drops. Members run blocking: a member with Overlap or
+// SelfSched set panics. Collective.
+func ExecuteFusedSum(loops []*SumLoop) { executeFused(coresOf(loops)) }
 
 // ExecuteFusedPair is ExecuteFusedSum for PairLoops: a run of two-
 // indirection reduction loops sharing one SharedSched executes with one
 // fused gather and one fused scatter-add. Collective.
-func ExecuteFusedPair(loops []*PairLoop) {
+func ExecuteFusedPair(loops []*PairLoop) { executeFused(coresOf(loops)) }
+
+// coresOf returns the loops' cores in the first loop's group scratch.
+func coresOf[L interface{ core() *loopCore }](loops []L) []*loopCore {
+	g := loops[0].core().group
+	g.cores = g.cores[:0]
+	for _, l := range loops {
+		g.cores = append(g.cores, l.core())
+	}
+	return g.cores
+}
+
+func executeFused(loops []*loopCore) {
+	g := loops[0].group
+	for i, c := range loops {
+		if c.overlap || c.ss != nil {
+			panic(fmt.Sprintf("loopir: fused loop %d has Overlap or SelfSched set; fused execution is blocking only", i))
+		}
+		if len(loops) > 1 && (c.group != g || g.private) {
+			panic("loopir: fused loops must share one SharedSched")
+		}
+	}
 	if len(loops) == 1 {
 		loops[0].Execute()
 		return
 	}
-	g := loops[0].shared
-	for _, l := range loops {
-		if l.shared == nil || l.shared != g {
-			panic("loopir: fused pair loops must share one SharedSched")
-		}
-		l.maybeInspect()
+	for _, c := range loops {
+		c.Inspect()
 	}
 	p := g.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	nLocal := g.ht.NLocal()
-	nBuf := nLocal + g.ht.NGhosts()
+	nBuf := g.ht.NLocal() + g.ht.NGhosts()
 
-	var xs []*RealArray
-	var xbs [][]float64
-	var xw []int
-	xbFor := make([]int, len(loops))
-	for li, l := range loops {
-		found := -1
-		for i, x := range xs {
-			if x == l.x {
-				found = i
-				break
-			}
+	// Fused gather: one ghost buffer per distinct read array, owned by the
+	// first member reading it.
+	g.xbs, g.xw, g.fbs, g.fw = g.xbs[:0], g.xw[:0], g.fbs[:0], g.fw[:0]
+	for li, c := range loops {
+		if firstReader(loops, li) == li {
+			c.xb = grow(c.xb, nBuf*c.x.width)
+			copy(c.xb, c.x.data)
+			g.xbs = append(g.xbs, c.xb)
+			g.xw = append(g.xw, c.x.width)
 		}
-		if found < 0 {
-			xb := make([]float64, nBuf*l.x.width)
-			copy(xb, l.x.data)
-			xs = append(xs, l.x)
-			xbs = append(xbs, xb)
-			xw = append(xw, l.x.width)
-			found = len(xs) - 1
-		}
-		xbFor[li] = found
 	}
-	schedule.GatherWMulti(p, g.sched, xbs, xw)
+	schedule.GatherWMulti(p, g.sched, g.xbs, g.xw)
 
-	fbs := make([][]float64, len(loops))
-	fw := make([]int, len(loops))
-	for li, l := range loops {
-		w := l.x.width
-		l.chargeGuard(p)
-		xb := xbs[xbFor[li]]
-		fb := make([]float64, nBuf*w)
-		for k := 0; k < l.ia.dec.NLocal(); k++ {
-			i := int(l.la[k])
-			j := int(l.lb[k])
-			l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
-		}
-		p.ComputeFlops(l.flopsPerIter * l.ia.dec.NLocal())
-		fbs[li] = fb
-		fw[li] = w
+	// Loop bodies in program order, each into its own contribution buffer.
+	for li, c := range loops {
+		c.chargeGuard(p)
+		c.fb = grow(c.fb, nBuf*c.x.width)
+		clear(c.fb)
+		c.run(loops[firstReader(loops, li)].xb, c.fb, 0, len(c.la))
+		p.ComputeFlops(c.flops * len(c.la))
+		g.fbs = append(g.fbs, c.fb)
+		g.fw = append(g.fw, c.x.width)
 	}
 
-	schedule.ScatterWMulti(p, g.sched, fbs, fw, schedule.OpAdd)
-	for li, l := range loops {
-		w := l.x.width
-		for i := 0; i < l.x.dec.NLocal()*w; i++ {
-			l.f.data[i] += fbs[li][i]
-		}
-		p.ComputeMem(l.x.dec.NLocal() * w)
+	// Fused scatter-add, then the sequential accumulations.
+	schedule.ScatterWMulti(p, g.sched, g.fbs, g.fw, schedule.OpAdd)
+	for _, c := range loops {
+		c.accumulate(c.fb)
 	}
+}
+
+// firstReader returns the index of the first of loops reading the array
+// loops[li] reads.
+func firstReader(loops []*loopCore, li int) int {
+	for e := range loops[:li] {
+		if loops[e].x == loops[li].x {
+			return e
+		}
+	}
+	return li
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 )
@@ -298,4 +300,56 @@ func compareBits(t *testing.T, name string, want, got []uint64) {
 			t.Fatalf("%s[%d]: bits %x vs %x", name, i, want[i], got[i])
 		}
 	}
+}
+
+// TestFusedRefusesSplitPhaseAndSelfSched: fused execution runs its members
+// blocking, so a member configured for split-phase or self-scheduled
+// execution is refused with a panic rather than silently downgraded.
+func TestFusedRefusesSplitPhaseAndSelfSched(t *testing.T) {
+	const n = 40
+	gptr, gvals := randCSR(n, 2, 37)
+	x0 := make([]float64, n)
+	configs := map[string]func(l *SumLoop){
+		"overlap":   func(l *SumLoop) { l.Overlap(true) },
+		"selfsched": func(l *SumLoop) { l.SelfSched(adapt.NewController()) },
+	}
+	for name, configure := range configs {
+		comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+			ptr, vals := localizeCSR(p, n, gptr, gvals)
+			prog, dec, _, _, _, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0)
+			gr := prog.NewSharedSched(dec)
+			l1.Share(gr)
+			l2.Share(gr)
+			configure(l2)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "fused loop 1 has Overlap or SelfSched set") {
+					t.Errorf("%s: ExecuteFusedSum panic %q, want a refusal naming loop 1", name, msg)
+				}
+			}()
+			ExecuteFusedSum([]*SumLoop{l1, l2})
+		})
+	}
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		prog := NewProgram(p)
+		data := prog.Decomposition(8)
+		bonds := prog.Decomposition(6)
+		x, f := data.AlignReal(1), data.AlignReal(1)
+		ia, ib := bonds.AlignIndFlat(1), bonds.AlignIndFlat(1)
+		ia.SetFlat([]int32{0, 1, 2, 3, 4, 5})
+		ib.SetFlat([]int32{7, 6, 5, 4, 3, 2})
+		l1 := prog.NewPairLoop(ia, ib, x, f, 3, bondBody)
+		l2 := prog.NewPairLoop(ia, ib, x, f, 3, bondBody)
+		gr := prog.NewSharedSched(data)
+		l1.Share(gr)
+		l2.Share(gr)
+		l1.Overlap(true)
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "fused loop 0 has Overlap or SelfSched set") {
+				t.Errorf("ExecuteFusedPair panic %q, want a refusal naming loop 0", msg)
+			}
+		}()
+		ExecuteFusedPair([]*PairLoop{l1, l2})
+	})
 }

@@ -3,9 +3,7 @@ package loopir
 import (
 	"fmt"
 
-	"repro/internal/comm"
-	"repro/internal/hashtab"
-	"repro/internal/schedule"
+	"repro/internal/adapt"
 )
 
 // PairBody is the body of a FORALL/REDUCE(SUM) loop iteration over the pair
@@ -24,49 +22,13 @@ type PairBody func(xi, xj, fi, fj []float64)
 // decomposition the indirection array is aligned with (all accesses through
 // one distribution, as in the CHARMM loop).
 type SumLoop struct {
-	prog *Program
-	ind  *IndArray
-	x, f *RealArray
-	body PairBody
-	// flopsPerPair is the modeled arithmetic cost of one body invocation.
-	flopsPerPair int
-
-	// Cached inspector products and the recorded versions they were built
-	// against (the §5.3 reuse mechanism).
-	ht          *hashtab.Table
-	stamp       hashtab.Stamp
-	loc         []int32
-	sched       *schedule.Schedule
-	indSeen     int64
-	distSeen    int64
-	inspections int
-
-	// Program-level optimization state, set by the fortd -O lowering: a
-	// schedule group shared with other loops of identical indirection usage,
-	// and a flag recording that the inspector was hoisted out of the
-	// enclosing time loop (the guard then only re-checks, never rebuilds,
-	// inside the loop, so its modeled bookkeeping halves).
-	shared  *SharedSched
-	member  int
-	hoisted bool
-
-	// Adaptive self-scheduling executor state (nil = static executor) and
-	// the cumulative data-motion statistics of either executor path.
-	ss     *selfSched
-	motion comm.Stats
-
-	// Split-phase overlap executor state (overlap.go): the mode flag, the
-	// interior/boundary iteration split with the inspection count it was
-	// built at, and the per-iteration delta scratch.
-	overlap   bool
-	split     *schedule.Split
-	splitInsp int
-	odelta    []float64
+	loopCore
 }
 
 // NewSumLoop compiles a FORALL/REDUCE(SUM) loop. ind must be a CSR
 // indirection array; x (read) and f (reduced) must be aligned with the same
-// decomposition.
+// decomposition. flopsPerPair is the modeled arithmetic cost of one body
+// invocation.
 func (pr *Program) NewSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, body PairBody) *SumLoop {
 	if ind.ptr == nil {
 		panic("loopir: SumLoop requires a CSR indirection array")
@@ -77,21 +39,8 @@ func (pr *Program) NewSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, 
 	if x.width != f.width {
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
-	return &SumLoop{
-		prog: pr, ind: ind, x: x, f: f,
-		body: body, flopsPerPair: flopsPerPair,
-		indSeen: -1, distSeen: -1,
-	}
-}
-
-// Inspections returns how many times the inspector actually ran — tests use
-// it to verify the generated code reuses preprocessing when nothing changed.
-// A loop sharing a group schedule reports the group's count.
-func (l *SumLoop) Inspections() int {
-	if l.shared != nil {
-		return l.shared.inspections
-	}
-	return l.inspections
+	g := pr.privateSched([]*Decomposition{ind.dec}, ind)
+	return &SumLoop{loopCore{prog: pr, x: x, f: f, flops: flopsPerPair, sum: body, rows: ind, group: g, lowered: -1}}
 }
 
 // Share points the loop at a group schedule: its indirection array joins
@@ -99,126 +48,14 @@ func (l *SumLoop) Inspections() int {
 // Only legal for loops the reuse analysis proved to have identical
 // indirection usage with the other members.
 func (l *SumLoop) Share(g *SharedSched) {
-	if g.dec != l.ind.dec {
+	if g.decs[0] != l.rows.dec {
 		panic("loopir: SumLoop shared schedule must cover the loop's decomposition")
 	}
-	l.shared = g
-	l.member = g.Add(l.ind)
+	m := g.Add(l.rows)
+	l.group, l.ma, l.mb, l.lowered = g, m, m, -1
 }
 
-// SetHoisted records that the inspector was hoisted out of the enclosing
-// time loop (the hoist analysis proved the indirection array unmodified
-// across it). The caller is responsible for invoking Inspect at the hoist
-// point.
-func (l *SumLoop) SetHoisted(b bool) { l.hoisted = b }
-
-// chargeGuard models the per-execution guard and buffer bookkeeping of the
-// generated code. A hoisted inspector needs no version re-checks inside the
-// time loop, halving the bookkeeping.
-func (l *SumLoop) chargeGuard(p *comm.Proc, nLocal int) {
-	if l.hoisted {
-		p.ComputeMem(nLocal)
-	} else {
-		p.ComputeMem(2 * nLocal)
-	}
-}
-
-// maybeInspect is the generated guard: compare modification records, rerun
-// only the necessary part of the inspector.
-func (l *SumLoop) maybeInspect() {
-	if l.shared != nil {
-		l.shared.Inspect()
-		l.ht = l.shared.ht
-		l.loc = l.shared.Loc(l.member)
-		l.sched = l.shared.sched
-		return
-	}
-	d := l.ind.dec
-	if l.ht != nil && l.distSeen == d.version && l.indSeen == l.ind.version {
-		return
-	}
-	reg := l.prog.P.Phase("inspector")
-	switch {
-	case l.distSeen != d.version || l.ht == nil:
-		// Redistribution invalidates everything: fresh hash table.
-		l.ht = d.dist.NewHashTable()
-		l.stamp = l.ht.NewStamp()
-		l.loc = l.ht.Hash(l.ind.vals, l.stamp)
-		l.sched = schedule.Build(l.prog.P, l.ht, l.stamp, 0)
-		// Generated inspectors drive the hash and schedule calls through
-		// runtime descriptors rather than specialized code; the constant-
-		// factor interpretation overhead is what separates the Inspector
-		// columns of Table 6.
-		l.prog.P.ComputeMem(len(l.ind.vals))
-		l.inspections++
-	case l.indSeen != l.ind.version:
-		// The indirection array adapted: clear and rehash its stamp; index
-		// analysis for unchanged entries is reused from the hash table.
-		l.ht.ClearStamp(l.stamp)
-		l.loc = l.ht.HashInto(l.loc, l.ind.vals, l.stamp)
-		l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.stamp, 0)
-		l.prog.P.ComputeMem(len(l.ind.vals))
-		l.inspections++
-	}
-	l.distSeen = d.version
-	l.indSeen = l.ind.version
-	reg.End()
-}
-
-// Inspect runs the inspector now if the recorded versions are stale (a
-// no-op otherwise). Execute calls it implicitly; exposing it lets drivers
-// time the inspector and executor phases separately, as Table 6 reports.
-func (l *SumLoop) Inspect() { l.maybeInspect() }
-
-// Execute runs the loop once: inspector (if needed), gather, local
-// reduction, scatter-add. The reductions accumulate into f. Collective.
-func (l *SumLoop) Execute() {
-	if l.ss != nil {
-		l.executeSelfSched()
-		return
-	}
-	l.maybeInspect()
-	if l.overlap {
-		l.ensureSplit()
-		l.executeOverlap()
-		return
-	}
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
-
-	// Generated-code bookkeeping (guard evaluation, bounds arrays, buffer
-	// management): the small constant-factor overhead visible in Table 6.
-	l.chargeGuard(p, nLocal)
-
-	xb := make([]float64, nBuf*w)
-	copy(xb, l.x.data)
-	s0 := p.Stats()
-	schedule.GatherW(p, l.sched, xb, w)
-	l.motion.Add(p.Stats().Sub(s0))
-
-	fb := make([]float64, nBuf*w)
-	ptr := l.ind.ptr
-	pairs := 0
-	for i := 0; i < l.ind.dec.NLocal(); i++ {
-		xi := xb[i*w : (i+1)*w]
-		fi := fb[i*w : (i+1)*w]
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := int(l.loc[k])
-			l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
-			pairs++
-		}
-	}
-	p.ComputeFlops(l.flopsPerPair * pairs)
-
-	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < l.ind.dec.NLocal()*w; i++ {
-		l.f.data[i] += fb[i]
-	}
-	p.ComputeMem(l.ind.dec.NLocal() * w)
-}
+// SelfSched enables the adaptive self-scheduling executor mode for the
+// loop. Results stay bit-identical to the static Execute; only the virtual
+// (and measured) timeline changes. ctl must be dedicated to this loop.
+func (l *SumLoop) SelfSched(ctl *adapt.Controller) { l.selfSchedule(ctl, nil, nil) }
