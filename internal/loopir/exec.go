@@ -105,10 +105,11 @@ func (c *loopCore) Inspect() {
 	}
 	if c.rows != nil {
 		c.seg, c.csrRows = c.rows.ptr, len(c.rows.ptr)-1
-		c.la = grow(c.la, int(c.seg[len(c.seg)-1]))
-		for i := 0; i+1 < len(c.seg); i++ {
-			for k := c.seg[i]; k < c.seg[i+1]; k++ {
-				c.la[k] = int32(i)
+		c.la = grow(c.la, int(c.seg[c.csrRows]))
+		for i := range c.csrRows {
+			row := c.la[c.seg[i]:c.seg[i+1]]
+			for k := range row {
+				row[k] = int32(i)
 			}
 		}
 	} else {
@@ -139,9 +140,7 @@ func (c *loopCore) chargeGuard(p *comm.Proc) {
 
 // accumulate adds the owned section of fb into f.
 func (c *loopCore) accumulate(fb []float64) {
-	for i := range c.f.data {
-		c.f.data[i] += fb[i]
-	}
+	addInto(c.f.data, fb)
 	c.prog.P.ComputeMem(len(c.f.data))
 }
 
@@ -180,9 +179,15 @@ func (c *loopCore) run(xb, fb []float64, lo, hi int) {
 	w := c.x.width
 	la, lb := c.la, c.lb
 	if body := c.sum; body != nil {
-		for k := lo; k < hi; k++ {
-			i, j := int(la[k])*w, int(lb[k])*w
-			body(xb[i:i+w], xb[j:j+w], fb[i:i+w], fb[j:j+w])
+		// A SumLoop's segments are its rows: walk them row by row, so x and
+		// f of a row are sliced once and la is read once per row.
+		for k := lo; k < hi; {
+			i := int(la[k])
+			xi, fi := xb[i*w:(i+1)*w], fb[i*w:(i+1)*w]
+			for end := min(hi, int(c.seg[i+1])); k < end; k++ {
+				j := int(lb[k]) * w
+				body(xi, xb[j:j+w], fi, fb[j:j+w])
+			}
 		}
 		return
 	}
@@ -202,36 +207,28 @@ func (c *loopCore) executeOverlap(p *comm.Proc) {
 	gm := schedule.GatherWStart(p, c.group.sched, c.xb, w)
 	ov := p.Phase(PhaseOverlap)
 	clear(c.delta)
-	c.deltas(nLocal, false)
+	c.deltas(nLocal, len(c.la), false)
 	ov.End()
 	gm.Wait()
 	c.motion.Add(p.Stats().Sub(s0))
-	c.deltas(nLocal, true)
+	c.deltas(nLocal, len(c.split.BndIdx), true)
 	p.ComputeFlops(c.flops * len(c.la))
 
 	// The ghost section must be final before the scatter sends pack it.
 	// Remote combines land in Wait, after all local adds — exactly the
 	// blocking order.
-	c.apply(nLocal, true)
+	c.apply(nLocal, len(c.split.BndIdx), true)
 	s1 := p.Stats()
 	sm := schedule.ScatterWStart(p, c.group.sched, c.fb, w, schedule.OpAdd)
 	ov = p.Phase(PhaseOverlap)
-	c.apply(nLocal, false)
+	c.apply(nLocal, len(c.la), false)
 	ov.End()
 	sm.Wait()
 	c.motion.Add(p.Stats().Sub(s1))
 }
 
-// span returns how many iterations the interior scan (ghost false: every
-// iteration) or the boundary list (ghost true) holds.
-func (c *loopCore) span(ghost bool) int {
-	if ghost {
-		return len(c.split.BndIdx)
-	}
-	return len(c.la)
-}
-
-// pick returns the q-th iteration of span(ghost), its two slots, and
+// pick returns the q-th iteration of the interior scan (ghost false: every
+// iteration) or of the boundary list (ghost true), its two slots, and
 // whether it touches a ghost slot exactly when ghost is set.
 func (c *loopCore) pick(q, nLocal int, ghost bool) (k, i, j int, in bool) {
 	k = q
@@ -242,12 +239,12 @@ func (c *loopCore) pick(q, nLocal int, ghost bool) (k, i, j int, in bool) {
 	return k, i, j, (i >= nLocal || j >= nLocal) == ghost
 }
 
-// deltas runs the interior (ghost false) or boundary (ghost true)
-// iterations, each into its own 2w-wide slot of the zeroed delta buffer.
-// Aliased iterations are left to the apply passes.
-func (c *loopCore) deltas(nLocal int, ghost bool) {
-	w := c.x.width
-	xb, n := c.xb, c.span(ghost)
+// deltas runs the interior (ghost false, n = every iteration) or boundary
+// (ghost true, n = the boundary list) iterations, each into its own 2w-wide
+// slot of the zeroed delta buffer. Aliased iterations are left to the apply
+// passes.
+func (c *loopCore) deltas(nLocal, n int, ghost bool) {
+	w, xb := c.x.width, c.xb
 	if body := c.sum; body != nil {
 		for q := 0; q < n; q++ {
 			k, i, j, in := c.pick(q, nLocal, ghost)
@@ -272,9 +269,9 @@ func (c *loopCore) deltas(nLocal int, ghost bool) {
 // ghost slots (ghost true: boundary iterations only touch ghosts) or in
 // owned slots (ghost false: every iteration), and direct-executes the
 // aliased iterations whose slot is of that kind.
-func (c *loopCore) apply(nLocal int, ghost bool) {
+func (c *loopCore) apply(nLocal, n int, ghost bool) {
 	w := c.x.width
-	for q, n := 0, c.span(ghost); q < n; q++ {
+	for q := 0; q < n; q++ {
 		k, i, j, _ := c.pick(q, nLocal, ghost)
 		if i == j {
 			if (i >= nLocal) == ghost {
