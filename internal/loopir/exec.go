@@ -120,7 +120,7 @@ func (c *loopCore) Inspect() {
 		}
 	}
 	c.lb = g.locs[c.mb][:len(c.la)]
-	if c.overlap {
+	if c.overlap && c.ss == nil {
 		c.split = schedule.SplitFlat(c.split, c.la, c.lb, g.ht.NLocal())
 	}
 	c.lowered = g.inspections

@@ -131,7 +131,11 @@ func (a *RealArray) Local() []float64 { return a.data }
 func (a *RealArray) Width() int { return a.width }
 
 // Zero clears the owned section.
-func (a *RealArray) Zero() { clear(a.data) }
+func (a *RealArray) Zero() {
+	for i := range a.data {
+		a.data[i] = 0
+	}
+}
 
 // SetByGlobal initializes each owned element from its global index.
 func (a *RealArray) SetByGlobal(f func(g int32, comp []float64)) {
