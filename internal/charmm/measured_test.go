@@ -97,7 +97,7 @@ func TestMeasuredModeMultiplexedParity(t *testing.T) {
 }
 
 // TestCompiledMeasuredPhasesFitWall: the compiled paths attribute measured
-// time through the driver's phase timer alone, so on every rank the
+// time through the caller's phase timer alone, so on every rank the
 // measured phases other than the nested "overlap" sub-phase sum to no more
 // than the rank's wall time. A phase charged twice (once by the timer, once
 // by a region inside loopir) would push the sum past the wall.

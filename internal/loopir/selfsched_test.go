@@ -230,11 +230,11 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 	}
 }
 
-// TestAdaptSteadyStateAllocs pins the PR 3/PR 5 discipline on every
-// executor mode of both loop kinds: once warm, an Execute (or a fused
-// ExecuteFused* run) allocates nothing on any rank — buffers, chunking,
-// the planning AllReduce, steal traffic, replay and the split-phase
-// windows included.
+// TestAdaptSteadyStateAllocs pins the steady-state allocation discipline
+// on every executor mode of both loop kinds: once warm, an Execute (or a
+// fused ExecuteFused* run) allocates nothing on any rank — buffers,
+// chunking, the planning AllReduce, steal traffic, replay and the
+// split-phase windows included.
 func TestAdaptSteadyStateAllocs(t *testing.T) {
 	const nprocs = 4
 	for _, kind := range []string{"sum", "pair"} {
