@@ -92,6 +92,7 @@ func BenchmarkAblationHashReuse(b *testing.B) {
 	}
 	run := func(reuse bool) float64 {
 		rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+			refs := append([]int32(nil), refs...) // each rank adapts its own copy
 			tt := buildBlockTable(p, n, ttable.Replicated)
 			ht := hashtab.New(p, tt)
 			s := ht.NewStamp()

@@ -64,7 +64,6 @@ func main() {
 	crashStep := flag.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
 	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
 	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
-	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap communication with interior computation")
 	flag.Parse()
 
 	cfg := charmm.ConfigForAtoms(*atoms)
@@ -72,7 +71,6 @@ func main() {
 	cfg.NBEvery = *nbevery
 	cfg.Partitioner = *part
 	cfg.Merged = !*multiple
-	cfg.Overlap = *overlap
 	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
 	cfg.AdaptVerify = *adaptVerify
@@ -131,17 +129,6 @@ func main() {
 		for k, v := range r.Phases {
 			if v > phases[k] {
 				phases[k] = v
-			}
-		}
-	}
-	if *measure {
-		// Measured-only phases (the overlap windows charge no virtual
-		// time) must still get a row.
-		for _, m := range rep.Measured {
-			for k := range m.Phases {
-				if _, ok := phases[k]; !ok {
-					phases[k] = 0
-				}
 			}
 		}
 	}

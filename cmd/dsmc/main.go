@@ -67,7 +67,6 @@ func main() {
 	crashStep := flag.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
 	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
 	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
-	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap the regular mover's scatter with slot fills")
 	flag.Parse()
 
 	cfg := dsmc.Default2D(*nx)
@@ -84,7 +83,6 @@ func main() {
 	}
 	cfg.Steps = *steps
 	cfg.Mover = dsmc.Mover(*mover)
-	cfg.Overlap = *overlap
 	cfg.Partitioner = *part
 	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
@@ -135,8 +133,8 @@ func main() {
 		}
 	}
 	if *measure {
-		// Measured-only phases (the overlap windows charge no virtual
-		// time) must still get a row.
+		// Measured-only phases (the compiler mover's append regions
+		// charge no virtual time) must still get a row.
 		for _, m := range rep.Measured {
 			for k := range m.Phases {
 				if _, ok := phases[k]; !ok {

@@ -17,9 +17,10 @@
 // restore counts through an in-process coordinator and worker pool);
 // -adapt runs only the BENCH_adapt table comparing static, periodic and
 // policy-driven remapping across three DSMC skew scenarios; -overlap runs
-// only the BENCH_overlap table comparing the blocking executors against the
-// split-phase (communication/computation overlap) executors on measured
-// wall-clock time over a wire with real latency.
+// only the BENCH_overlap table comparing loopir's blocking executor against
+// its split-phase (communication/computation overlap) executor on an
+// irregular-reduction kernel, in measured wall-clock time over a wire with
+// real latency.
 package main
 
 import (

@@ -6,10 +6,9 @@ import (
 )
 
 // SplitPhase checks the split-phase collective protocol (§3's non-blocking
-// data motion): every GatherWStart/ScatterWStart/GatherWMultiStart/
-// ScatterWMultiStart must have a matching Motion.Wait, and the overlap
-// window between Start and Wait must not touch the sections the motion is
-// still moving:
+// data motion): every GatherWStart/ScatterWStart must have a matching
+// Motion.Wait, and the overlap window between Start and Wait must not touch
+// the sections the motion is still moving:
 //
 //   - a Start whose Motion handle is discarded, bound to the blank
 //     identifier, never waited in the enclosing function, or passed/stored
@@ -39,7 +38,7 @@ type motionStart struct {
 	data   types.Object // object of the data-array argument (nil if not an identifier)
 }
 
-// asMotionStart recognizes the four split-phase Start entry points.
+// asMotionStart recognizes the two split-phase Start entry points.
 func asMotionStart(info *types.Info, call *ast.CallExpr) *motionStart {
 	fn := callee(info, call)
 	if fn == nil || !inPkg(fn, "internal/schedule") {
@@ -47,9 +46,9 @@ func asMotionStart(info *types.Info, call *ast.CallExpr) *motionStart {
 	}
 	var gather bool
 	switch fn.Name() {
-	case "GatherWStart", "GatherWMultiStart":
+	case "GatherWStart":
 		gather = true
-	case "ScatterWStart", "ScatterWMultiStart":
+	case "ScatterWStart":
 	default:
 		return nil
 	}

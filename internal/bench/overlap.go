@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/charmm"
 	"repro/internal/comm"
-	"repro/internal/dsmc"
 	"repro/internal/loopir"
 	"repro/internal/partition"
 )
@@ -103,41 +101,15 @@ func overlapKernelRun(p *comm.Proc, overlap bool) {
 }
 
 // overlapScenarios are the programs BENCH_overlap compares: the irregular
-// reduction kernel (the loopir split-phase executor on a reused schedule),
-// the CHARMM force executor (gather+scatter around bonded/non-bonded
-// interiors) and the DSMC regular mover (slot scatter around owned fills).
-func overlapScenarios(sc Scale) []struct {
+// reduction kernel, run by the loopir split-phase executor on a reused
+// schedule.
+var overlapScenarios = []struct {
 	name string
 	body func(overlap bool) func(p *comm.Proc)
-} {
-	ccfg := charmm.ConfigForAtoms(sc.WallCharmmAtoms)
-	ccfg.Steps = sc.WallCharmmSteps
-	ccfg.NBEvery = sc.CharmmNBEvry
-	dcfg := dsmc.Default2D(sc.WallDsmcEdge)
-	dcfg.NMols = sc.WallDsmcMols
-	dcfg.Steps = sc.WallDsmcSteps
-	dcfg.Mover = dsmc.MoverRegular
-	// Quick/full wall scales pack cells denser than Default2D expects and the
-	// regular mover's global slot array must hold the worst cell after drift.
-	dcfg.SlotCap = 128
-	return []struct {
-		name string
-		body func(overlap bool) func(p *comm.Proc)
-	}{
-		{"kernel", func(overlap bool) func(p *comm.Proc) {
-			return func(p *comm.Proc) { overlapKernelRun(p, overlap) }
-		}},
-		{"charmm", func(overlap bool) func(p *comm.Proc) {
-			cfg := ccfg
-			cfg.Overlap = overlap
-			return func(p *comm.Proc) { charmm.Run(p, cfg) }
-		}},
-		{"dsmc", func(overlap bool) func(p *comm.Proc) {
-			cfg := dcfg
-			cfg.Overlap = overlap
-			return func(p *comm.Proc) { dsmc.Run(p, cfg) }
-		}},
-	}
+}{
+	{"kernel", func(overlap bool) func(p *comm.Proc) {
+		return func(p *comm.Proc) { overlapKernelRun(p, overlap) }
+	}},
 }
 
 // median returns the median of xs (xs is reordered in place).
@@ -183,15 +155,15 @@ func RunOverlapScenario(sc Scale, body func(overlap bool) func(p *comm.Proc), n,
 }
 
 // Overlap generates BENCH_overlap: measured wall-clock time of the blocking
-// executors against the split-phase overlap executors, per application and
-// rank count, with the fraction of communication wait hidden behind
-// interior computation. The Modeled column is shared by construction —
+// executor against the split-phase overlap executor, per scenario and rank
+// count, with the fraction of communication wait hidden behind interior
+// computation. The Modeled column is shared by construction —
 // RunOverlapScenario panics if the two modes' virtual makespans differ by
 // a single bit.
 func Overlap(sc Scale) *Table {
 	t := &Table{
 		ID:    "BENCH_overlap",
-		Title: "Split-phase collectives: measured wall of blocking vs overlapped executors (real sec)",
+		Title: "Split-phase collectives: measured wall of the blocking vs overlapped loopir executor (real sec)",
 		Columns: []string{
 			"Scenario", "Procs", "Blocking (s)", "Overlap (s)",
 			"Speedup", "Comm blk (s)", "Comm ovl (s)", "Hidden %", "Modeled (vsec)",
@@ -203,7 +175,7 @@ func Overlap(sc Scale) *Table {
 			"Modeled virtual seconds are identical between modes by construction (the run panics otherwise)",
 		},
 	}
-	for _, s := range overlapScenarios(sc) {
+	for _, s := range overlapScenarios {
 		for _, n := range sc.WallProcs {
 			r := RunOverlapScenario(sc, s.body, n, sc.WallReps)
 			t.Rows = append(t.Rows, []string{

@@ -129,14 +129,18 @@ func TestIntegrateReflectsAtWalls(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := smallConfig()
 	_, wantSum := Reference(cfg)
-	for _, nprocs := range []int{1, 2, 4} {
-		results := make([]*ProcResult, nprocs)
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
-		for r, res := range results {
-			if math.Abs(res.Checksum-wantSum) > 1e-9*math.Abs(wantSum) {
-				t.Errorf("nprocs=%d rank=%d checksum %v, want %v", nprocs, r, res.Checksum, wantSum)
+	for _, merged := range []bool{true, false} {
+		cfg := cfg
+		cfg.Merged = merged
+		for _, nprocs := range []int{1, 2, 4} {
+			results := make([]*ProcResult, nprocs)
+			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+				results[p.Rank()] = Run(p, cfg)
+			})
+			for r, res := range results {
+				if math.Abs(res.Checksum-wantSum) > 1e-9*math.Abs(wantSum) {
+					t.Errorf("merged=%v nprocs=%d rank=%d checksum %v, want %v", merged, nprocs, r, res.Checksum, wantSum)
+				}
 			}
 		}
 	}

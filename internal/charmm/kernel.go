@@ -59,27 +59,13 @@ func kernelSetup(cfg KernelConfig) (mdCfg Config, pos []float64, gptr, gjnb []in
 	return mdCfg, st.Pos, gptr, gjnb
 }
 
-// kernelPartitioner computes the alternating RCB/RIB owners for the current
-// local geometry, weighted by non-bonded row length.
-func kernelPartitioner(p *comm.Proc, which int, pos []float64, ptr []int32) []int32 {
-	n := len(ptr) - 1
-	g := &partition.Geom{
-		Dim: 3,
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		Z:   make([]float64, n),
-		W:   make([]float64, n),
+// kernelPartition names the remapCount-th remap's partitioner: RCB and RIB
+// alternately, starting with RCB.
+func kernelPartition(remapCount int) string {
+	if remapCount%2 == 0 {
+		return "rcb"
 	}
-	for i := 0; i < n; i++ {
-		g.X[i] = pos[3*i]
-		g.Y[i] = pos[3*i+1]
-		g.Z[i] = pos[3*i+2]
-		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
-	}
-	if which%2 == 0 {
-		return partition.RCB(p, g)
-	}
-	return partition.RIB(p, g)
+	return "rib"
 }
 
 // localizeKernelCSR extracts this rank's BLOCK slab of the global CSR.
@@ -138,7 +124,7 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	remapCount := 0
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
-			owners := kernelPartitioner(p, remapCount, pos, ptr)
+			owners := atomOwners(p, kernelPartition(remapCount), atoms.Globals(), cfg.NAtoms, pos, ptr)
 			remapCount++
 			p.Barrier()
 			timer.Mark("partition")
@@ -221,7 +207,7 @@ func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
 			curPtr, _ := ind.CSR()
-			owners := kernelPartitioner(p, remapCount, x.Local(), curPtr)
+			owners := atomOwners(p, kernelPartition(remapCount), dec.Globals(), cfg.NAtoms, x.Local(), curPtr)
 			remapCount++
 			p.Barrier()
 			timer.Mark("partition")

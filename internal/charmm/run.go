@@ -60,26 +60,6 @@ type simState struct {
 	sched        *schedule.Schedule // merged
 	schedB       *schedule.Schedule // per-loop (when !Merged)
 	schedNB      *schedule.Schedule
-
-	// Interior/boundary iteration splits for the overlap executor
-	// (cfg.Overlap), rebuilt with the schedules.
-	splitB  *schedule.Split
-	splitNB *schedule.Split
-	// Per-iteration delta scratch for the overlap executor's replay
-	// (6 slots per iteration), reused across steps: a fresh multi-megabyte
-	// allocation per step costs more real time than the overlap can hide.
-	// Slots are zeroed at the write site, so no clearing pass is needed.
-	deltaB  []float64
-	deltaNB []float64
-}
-
-// growF64 returns buf resized to n elements, reallocating only on growth.
-// Contents are unspecified — every used slot must be written before read.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // Run executes the parallel CHARMM simulation on one SPMD rank. Collective:
@@ -184,11 +164,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			p.Barrier()
 			timer.Mark(PhaseSchedRegen)
 		}
-		if cfg.Overlap {
-			executeStepOverlap(p, s, cfg)
-		} else {
-			executeStep(p, s, cfg)
-		}
+		executeStep(p, s, cfg)
 		timer.Mark(PhaseExecutor)
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, s, cfg, step, remapCount)
@@ -282,7 +258,7 @@ func alternateOf(part string) string {
 // length), remap the atom arrays, and repartition+move the bonded pairs by
 // the almost-owner-computes rule.
 func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer) {
-	owners := atomOwners(p, s, part)
+	owners := atomOwners(p, part, s.atoms.Globals(), s.atoms.N(), s.pos, s.ptr)
 	p.Barrier()
 	timer.Mark(PhasePartition)
 
@@ -316,28 +292,31 @@ func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer)
 	timer.Mark(PhaseRemap)
 }
 
-// atomOwners runs the configured phase-A partitioner.
-func atomOwners(p *comm.Proc, s *simState, part string) []int32 {
-	n := s.atoms.NLocal()
+// atomOwners runs the phase-A partitioner part ("block", "rcb", "rib" or
+// "chain") over the owned atoms: globals of n atoms, 3-wide positions pos,
+// each weighted by 1 + its non-bonded row length in the CSR ptr. Building
+// the geometry charges no virtual time.
+func atomOwners(p *comm.Proc, part string, globals []int32, n int, pos []float64, ptr []int32) []int32 {
+	nLocal := len(globals)
 	if part == "block" {
-		owners := make([]int32, n)
-		for i, g := range s.atoms.Globals() {
-			owners[i] = int32(partition.BlockOwner(int(g), s.atoms.N(), p.Size()))
+		owners := make([]int32, nLocal)
+		for i, g := range globals {
+			owners[i] = int32(partition.BlockOwner(int(g), n, p.Size()))
 		}
 		return owners
 	}
 	g := &partition.Geom{
 		Dim: 3,
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		Z:   make([]float64, n),
-		W:   make([]float64, n),
+		X:   make([]float64, nLocal),
+		Y:   make([]float64, nLocal),
+		Z:   make([]float64, nLocal),
+		W:   make([]float64, nLocal),
 	}
-	for i := 0; i < n; i++ {
-		g.X[i] = s.pos[3*i]
-		g.Y[i] = s.pos[3*i+1]
-		g.Z[i] = s.pos[3*i+2]
-		g.W[i] = 1 + float64(s.ptr[i+1]-s.ptr[i])
+	for i := 0; i < nLocal; i++ {
+		g.X[i] = pos[3*i]
+		g.Y[i] = pos[3*i+1]
+		g.Z[i] = pos[3*i+2]
+		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
 	}
 	switch part {
 	case "rcb":
@@ -378,9 +357,6 @@ func rebuildSchedules(p *comm.Proc, s *simState, cfg Config) {
 		s.schedB = schedule.BuildInto(s.schedB, p, s.ht, s.sBond, 0)
 		s.schedNB = schedule.BuildInto(s.schedNB, p, s.ht, s.sNB, 0)
 		s.sched = nil
-	}
-	if cfg.Overlap {
-		buildSplits(s)
 	}
 }
 

@@ -169,15 +169,22 @@ func runAndGather(p *comm.Proc, cfg Config) []float64 {
 func TestRemapPoliciesPreservePhysics(t *testing.T) {
 	cfg := small3D()
 	_, want := Reference(cfg)
-	for _, part := range []string{"chain", "rcb", "rib", "block"} {
+	for _, tc := range []struct {
+		part  string
+		mover Mover
+	}{
+		{"chain", cfg.Mover}, {"rcb", cfg.Mover}, {"rib", cfg.Mover}, {"block", cfg.Mover},
+		{"chain", MoverRegular},
+	} {
 		cfg := cfg
-		cfg.Partitioner = part
+		cfg.Partitioner = tc.part
+		cfg.Mover = tc.mover
 		results := make([]*ProcResult, 4)
 		comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
 			results[p.Rank()] = Run(p, cfg)
 		})
 		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
-			t.Errorf("partitioner %s: checksum %v, want %v", part, results[0].Checksum, want)
+			t.Errorf("partitioner %s mover %s: checksum %v, want %v", tc.part, tc.mover, results[0].Checksum, want)
 		}
 	}
 }

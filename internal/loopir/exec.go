@@ -52,9 +52,9 @@ type loopCore struct {
 	lowered     int
 	hoisted     bool
 
-	// Split-phase mode and its interior/boundary split, built at lowering.
+	// Split-phase mode and its boundary iterations, built at lowering.
 	overlap bool
-	split   *schedule.Split
+	bnd     []int32
 
 	ss     *selfSched // nil: no self-scheduling
 	motion comm.Stats // cumulative gather + scatter statistics
@@ -121,7 +121,7 @@ func (c *loopCore) Inspect() {
 	}
 	c.lb = g.locs[c.mb][:len(c.la)]
 	if c.overlap && c.ss == nil {
-		c.split = schedule.SplitFlat(c.split, c.la, c.lb, g.ht.NLocal())
+		c.bnd = schedule.SplitFlat(c.bnd, c.la, c.lb, g.ht.NLocal())
 	}
 	c.lowered = g.inspections
 }
@@ -211,13 +211,13 @@ func (c *loopCore) executeOverlap(p *comm.Proc) {
 	ov.End()
 	gm.Wait()
 	c.motion.Add(p.Stats().Sub(s0))
-	c.deltas(nLocal, len(c.split.BndIdx), true)
+	c.deltas(nLocal, len(c.bnd), true)
 	p.ComputeFlops(c.flops * len(c.la))
 
 	// The ghost section must be final before the scatter sends pack it.
 	// Remote combines land in Wait, after all local adds — exactly the
 	// blocking order.
-	c.apply(nLocal, len(c.split.BndIdx), true)
+	c.apply(nLocal, len(c.bnd), true)
 	s1 := p.Stats()
 	sm := schedule.ScatterWStart(p, c.group.sched, c.fb, w, schedule.OpAdd)
 	ov = p.Phase(PhaseOverlap)
@@ -233,7 +233,7 @@ func (c *loopCore) executeOverlap(p *comm.Proc) {
 func (c *loopCore) pick(q, nLocal int, ghost bool) (k, i, j int, in bool) {
 	k = q
 	if ghost {
-		k = int(c.split.BndIdx[q])
+		k = int(c.bnd[q])
 	}
 	i, j = int(c.la[k]), int(c.lb[k])
 	return k, i, j, (i >= nLocal || j >= nLocal) == ghost

@@ -64,12 +64,6 @@ func GatherWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) {
 		p.ComputeMem(len(buf))
 		p.SendF64Buf(dst, tagGather, buf)
 	}
-	gatherRecvMulti(p, s, datas, widths)
-}
-
-// gatherRecvMulti is GatherWMulti's receive half, shared by the blocking
-// path and Motion.Wait.
-func gatherRecvMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) {
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
 		slots := s.RecvSlots(src)
@@ -128,12 +122,6 @@ func ScatterWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, o
 		p.ComputeMem(len(buf))
 		p.SendF64Buf(dst, tagScatter, buf)
 	}
-	scatterRecvMulti(p, s, datas, widths, op)
-}
-
-// scatterRecvMulti is ScatterWMulti's receive half, shared by the blocking
-// path and Motion.Wait.
-func scatterRecvMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, op CombineOp) {
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
 		offs := s.SendOffs(src)

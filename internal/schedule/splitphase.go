@@ -20,7 +20,7 @@ import (
 // collectives PROVIDED the caller issues no virtual-time charges (Compute*,
 // sends, receives) between Start and Wait: overlapped real work is charged
 // after Wait, at the position the blocking schedule would have charged it.
-// The loopir overlap executors follow this discipline; the chaosvet
+// The loopir overlap executor follows this discipline; the chaosvet
 // split-phase analyzer enforces the buffer-hazard half of it.
 
 // Motion is one split-phase collective in flight. At most one motion can be
@@ -31,8 +31,6 @@ type Motion struct {
 	s      *Schedule
 	data   []float64
 	width  int
-	datas  [][]float64
-	widths []int
 	op     CombineOp
 	gather bool
 	pend   []comm.Pending
@@ -51,9 +49,6 @@ func (s *Schedule) claimMotion(p *comm.Proc, gather bool) *Motion {
 	mo.pend = mo.pend[:0]
 	return mo
 }
-
-// Active reports whether the motion has been started and not yet waited.
-func (mo *Motion) Active() bool { return mo != nil && mo.active }
 
 // flushStart yields the processor once after a Start batch so the rank's
 // sender goroutine (comm.SendStart hands frames to a per-rank queue, not to
@@ -87,18 +82,12 @@ func (mo *Motion) Wait() {
 		h.Wait()
 	}
 	mo.pend = mo.pend[:0]
-	switch {
-	case mo.gather && mo.datas != nil:
-		gatherRecvMulti(p, mo.s, mo.datas, mo.widths)
-	case mo.gather:
+	if mo.gather {
 		gatherRecv(p, mo.s, mo.data, mo.width)
-	case mo.datas != nil:
-		scatterRecvMulti(p, mo.s, mo.datas, mo.widths, mo.op)
-	default:
+	} else {
 		scatterRecv(p, mo.s, mo.data, mo.width, mo.op)
 	}
-	mo.p, mo.s = nil, nil
-	mo.data, mo.datas, mo.widths = nil, nil, nil
+	mo.p, mo.s, mo.data = nil, nil, nil
 	mo.active = false
 }
 
@@ -153,149 +142,26 @@ func ScatterWStart(p *comm.Proc, s *Schedule, data []float64, width int, op Comb
 	return flushStart(mo)
 }
 
-// GatherWMultiStart is GatherWStart for the fused multi-array gather: one
-// message per peer covering every array, receive half at Wait. The datas and
-// widths slices are retained until Wait returns.
-func GatherWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) *Motion {
-	s.checkMulti(datas, widths)
-	mo := s.claimMotion(p, true)
-	mo.datas, mo.widths = datas, widths
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		tot := 0
-		for _, w := range widths {
-			tot += len(offs) * w
-		}
-		buf := stage(&s.stageS, tot)
-		at := 0
-		for b, data := range datas {
-			width := widths[b]
-			sec := buf[at : at+len(offs)*width]
-			at += len(sec)
-			for i, off := range offs {
-				copy(sec[i*width:], data[int(off)*width:int(off+1)*width])
-			}
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagGather, buf))
-	}
-	return flushStart(mo)
-}
-
-// ScatterWMultiStart is ScatterWStart for the fused multi-array scatter. The
-// datas and widths slices are retained until Wait returns.
-func ScatterWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, op CombineOp) *Motion {
-	s.checkMulti(datas, widths)
-	mo := s.claimMotion(p, false)
-	mo.datas, mo.widths, mo.op = datas, widths, op
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		tot := 0
-		for _, w := range widths {
-			tot += len(slots) * w
-		}
-		buf := stage(&s.stageS, tot)
-		at := 0
-		for b, data := range datas {
-			width := widths[b]
-			sec := buf[at : at+len(slots)*width]
-			at += len(sec)
-			for i, slot := range slots {
-				copy(sec[i*width:], data[int(slot)*width:int(slot+1)*width])
-			}
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagScatter, buf))
-	}
-	return flushStart(mo)
-}
-
-// Split is the schedule-build-time iteration classification the overlap
-// executors consume: every iteration of a loop is interior (touches only
-// owned slots, executable before the gather completes) or boundary (reads
-// or writes at least one ghost slot, executable only after Wait). Boundary
-// iterations are stored as CSR extents over the loop's outer rows, next to
-// the schedule's send/recv lists; interior iterations need no storage — the
-// executor skips boundary ones in place with the same ghost test used here.
+// SplitFlat classifies a flat two-indirection loop for the split-phase
+// executor: iteration k touches the slots la[k] and lb[k], and is boundary
+// (reads or writes a ghost slot, so executable only after the gather's
+// Wait) iff either is >= nLocal. It returns the boundary iterations in
+// static order, in dst's storage (dst may be nil); interior iterations need
+// no storage — the executor skips boundary ones in place with the same
+// ghost test.
 //
-// Building a Split charges no virtual time: overlap mode must keep modeled
-// clocks bit-identical to blocking mode, so the classification cost is real
-// (it shows in the measured inspector phase) but invisible to the model.
-type Split struct {
-	// BndPtr/BndIdx are CSR extents: the boundary iterations of outer row i
-	// are BndIdx[BndPtr[i]:BndPtr[i+1]], in static iteration order. Flat
-	// (single-row) loops use one row spanning every iteration.
-	BndPtr []int32
-	BndIdx []int32
-	// NIter is the total number of iterations classified.
-	NIter int
-}
-
-// Boundary returns how many iterations touch ghost slots.
-func (sp *Split) Boundary() int { return len(sp.BndIdx) }
-
-// Interior returns how many iterations touch only owned slots.
-func (sp *Split) Interior() int { return sp.NIter - len(sp.BndIdx) }
-
-// SplitCSR classifies the iterations of a CSR indirection loop over sp's
-// storage (sp may be nil): iteration k of row i reads/writes the slot
-// loc[k], and is boundary iff that slot is in the ghost section
-// (>= nLocal). ptr has nRows+1 extents into loc. Returns sp (or a fresh
-// Split), with storage reused across rebuilds.
-func SplitCSR(sp *Split, ptr, loc []int32, nLocal int) *Split {
-	nRows := len(ptr) - 1
-	if nRows < 0 {
-		panic("schedule: SplitCSR needs at least one CSR extent")
-	}
-	sp = resetSplit(sp, nRows, len(loc))
-	for i := 0; i < nRows; i++ {
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			if int(loc[k]) >= nLocal {
-				sp.BndIdx = append(sp.BndIdx, k)
-			}
-		}
-		sp.BndPtr[i+1] = int32(len(sp.BndIdx))
-	}
-	return sp
-}
-
-// SplitFlat classifies a flat two-indirection pair loop: iteration k touches
-// the slots la[k] and lb[k], and is boundary iff either is a ghost slot.
-// Stored as a single CSR row. Returns sp (or a fresh Split).
-func SplitFlat(sp *Split, la, lb []int32, nLocal int) *Split {
+// Classification charges no virtual time: overlap mode must keep modeled
+// clocks bit-identical to blocking mode, so its cost is real (it shows in
+// the measured inspector phase) but invisible to the model.
+func SplitFlat(dst, la, lb []int32, nLocal int) []int32 {
 	if len(la) != len(lb) {
 		panic(fmt.Sprintf("schedule: SplitFlat over %d/%d iterations", len(la), len(lb)))
 	}
-	sp = resetSplit(sp, 1, len(la))
+	dst = dst[:0]
 	for k := range la {
 		if int(la[k]) >= nLocal || int(lb[k]) >= nLocal {
-			sp.BndIdx = append(sp.BndIdx, int32(k))
+			dst = append(dst, int32(k))
 		}
 	}
-	sp.BndPtr[1] = int32(len(sp.BndIdx))
-	return sp
-}
-
-// resetSplit readies sp for nRows rows and nIter iterations, reusing its
-// backing arrays.
-func resetSplit(sp *Split, nRows, nIter int) *Split {
-	if sp == nil {
-		sp = &Split{}
-	}
-	if cap(sp.BndPtr) < nRows+1 {
-		sp.BndPtr = make([]int32, nRows+1)
-	}
-	sp.BndPtr = sp.BndPtr[:nRows+1]
-	sp.BndPtr[0] = 0
-	sp.BndIdx = sp.BndIdx[:0]
-	sp.NIter = nIter
-	return sp
+	return dst
 }

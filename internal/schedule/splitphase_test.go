@@ -122,55 +122,6 @@ func TestSplitPhaseParity(t *testing.T) {
 	}
 }
 
-// TestSplitPhaseMultiParity is TestSplitPhaseParity for the fused
-// multi-array primitives.
-func TestSplitPhaseMultiParity(t *testing.T) {
-	const (
-		nprocs  = 3
-		perProc = 9
-		nIndex  = 21
-	)
-	widths := []int{1, 3}
-	run := func(split bool) ([]float64, *comm.Report) {
-		data := make([][]float64, nprocs)
-		rep := comm.Run(nprocs, costmodel.Uniform(2e-8), func(p *comm.Proc) {
-			ht, s, _ := buildTestSched(p, perProc, nIndex, 321)
-			n := ht.NLocal() + ht.NGhosts()
-			xs := [][]float64{make([]float64, n*widths[0]), make([]float64, n*widths[1])}
-			for b := range xs {
-				for i := 0; i < ht.NLocal()*widths[b]; i++ {
-					xs[b][i] = float64(b+1) * float64(p.Rank()*100+i)
-				}
-			}
-			if split {
-				GatherWMultiStart(p, s, xs, widths).Wait()
-				ScatterWMultiStart(p, s, xs, widths, OpMax).Wait()
-			} else {
-				GatherWMulti(p, s, xs, widths)
-				ScatterWMulti(p, s, xs, widths, OpMax)
-			}
-			data[p.Rank()] = append(append([]float64{}, xs[0]...), xs[1]...)
-		})
-		flat := []float64{}
-		for _, d := range data {
-			flat = append(flat, d...)
-		}
-		return flat, rep
-	}
-	blockData, blockRep := run(false)
-	splitData, splitRep := run(true)
-	for r := 0; r < nprocs; r++ {
-		if blockRep.Clocks[r] != splitRep.Clocks[r] || blockRep.Stats[r] != splitRep.Stats[r] {
-			t.Errorf("rank %d: clock/stats diverge between blocking and split-phase fused motion", r)
-		}
-	}
-	for i := range blockData {
-		if math.Float64bits(blockData[i]) != math.Float64bits(splitData[i]) {
-			t.Fatalf("slot %d: %v != %v", i, blockData[i], splitData[i])
-		}
-	}
-}
-
 // TestMotionInFlightPanic: starting a second motion on a schedule whose
 // first motion has not been waited must panic (the two would interleave on
 // the same tags).
@@ -198,37 +149,21 @@ func TestMotionInFlightPanic(t *testing.T) {
 
 // TestSplitBuilders unit-tests the interior/boundary classification.
 func TestSplitBuilders(t *testing.T) {
-	// CSR: 3 rows; nLocal=4 so slots 4,5 are ghosts.
-	ptr := []int32{0, 2, 2, 5}
-	loc := []int32{0, 4, 1, 5, 3}
-	sp := SplitCSR(nil, ptr, loc, 4)
-	if sp.NIter != 5 || sp.Boundary() != 2 || sp.Interior() != 3 {
-		t.Fatalf("SplitCSR: NIter=%d boundary=%d interior=%d", sp.NIter, sp.Boundary(), sp.Interior())
-	}
-	wantPtr := []int32{0, 1, 1, 2}
-	for i, w := range wantPtr {
-		if sp.BndPtr[i] != w {
-			t.Fatalf("BndPtr=%v, want %v", sp.BndPtr, wantPtr)
-		}
-	}
-	if sp.BndIdx[0] != 1 || sp.BndIdx[1] != 3 {
-		t.Fatalf("BndIdx=%v, want [1 3]", sp.BndIdx)
+	// Flat: boundary iff either side is a ghost (nLocal=4, so slots 5 and 6
+	// are ghosts).
+	la := []int32{0, 5, 1, 2}
+	lb := []int32{1, 0, 6, 3}
+	bnd := SplitFlat(nil, la, lb, 4)
+	if len(bnd) != 2 || bnd[0] != 1 || bnd[1] != 2 {
+		t.Fatalf("SplitFlat = %v, want [1 2]", bnd)
 	}
 
 	// Rebuild into the same storage with different data.
-	sp2 := SplitCSR(sp, []int32{0, 1}, []int32{2}, 4)
-	if sp2 != sp || sp2.Boundary() != 0 || sp2.NIter != 1 {
-		t.Fatalf("SplitCSR reuse: %+v", sp2)
+	bnd2 := SplitFlat(bnd, []int32{4, 0, 3}, []int32{0, 1, 2}, 4)
+	if len(bnd2) != 1 || bnd2[0] != 0 {
+		t.Fatalf("SplitFlat rebuild = %v, want [0]", bnd2)
 	}
-
-	// Flat: boundary iff either side is a ghost.
-	la := []int32{0, 5, 1, 2}
-	lb := []int32{1, 0, 6, 3}
-	fp := SplitFlat(nil, la, lb, 4)
-	if fp.NIter != 4 || fp.Boundary() != 2 {
-		t.Fatalf("SplitFlat: NIter=%d boundary=%d", fp.NIter, fp.Boundary())
-	}
-	if fp.BndIdx[0] != 1 || fp.BndIdx[1] != 2 {
-		t.Fatalf("SplitFlat BndIdx=%v, want [1 2]", fp.BndIdx)
+	if &bnd2[:cap(bnd2)][0] != &bnd[:cap(bnd)][0] {
+		t.Error("SplitFlat rebuild reallocated instead of reusing dst's storage")
 	}
 }
