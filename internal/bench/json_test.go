@@ -3,6 +3,8 @@ package bench
 import (
 	"bufio"
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -88,5 +90,27 @@ func TestRealTableJSON(t *testing.T) {
 	}
 	if rec.Table != tab.ID || rec.Scale != "quick" {
 		t.Errorf("record = %+v", rec)
+	}
+}
+
+// TestQuickTablesMD5 pins the paper's results: Tables 1-7 at the quick
+// scale, encoded exactly as `tables -quick -json` prints them, must hash to
+// the recorded md5. Any change to a virtual clock, count or table cell
+// anywhere under the experiments moves the digest.
+func TestQuickTablesMD5(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates Tables 1-7")
+	}
+	sc := Quick()
+	var buf bytes.Buffer
+	for _, tab := range AllTables(sc) {
+		if err := tab.WriteJSON(&buf, sc.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "549de59e1135aadc6aa07da41e64adba"
+	sum := md5.Sum(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("Tables 1-7 quick JSON md5 = %s, want %s", got, want)
 	}
 }

@@ -493,3 +493,30 @@ func TestPropertyPlanPreservesElements(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkDataMotionRemapMove times one width-3 MoveF64 and one width-1
+// MoveI32 through a plan that scatters every block over all 4 ranks.
+// Allocations are counted across all ranks and include the result arrays.
+func BenchmarkDataMotionRemapMove(b *testing.B) {
+	const n = 2048
+	b.ReportAllocs()
+	comm.Run(4, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		gs := blockGlobals(p, n)
+		mine := make([]int32, len(gs))
+		for i, g := range gs {
+			mine[i] = (g * 7) % int32(p.Size())
+		}
+		tt := ttable.Build(p, ttable.Replicated, BlockMap(p, gs, mine, n))
+		pl := NewPlan(p, gs, tt)
+		fs := make([]float64, 3*len(gs))
+		pl.MoveF64(p, fs, 3)
+		pl.MoveI32(p, gs, 1)
+		if p.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			pl.MoveF64(p, fs, 3)
+			pl.MoveI32(p, gs, 1)
+		}
+	})
+}

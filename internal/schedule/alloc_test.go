@@ -133,6 +133,31 @@ func BenchmarkDataMotionGatherW3(b *testing.B) {
 	})
 }
 
+func BenchmarkDataMotionGatherWMulti(b *testing.B) {
+	b.ReportAllocs()
+	comm.Run(4, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		sched, a := allocEnv(p, 512, 1024, 7)
+		datas := [][]float64{a, make([]float64, sched.MinLen()*3)}
+		widths := []int{1, 3}
+		GatherWMulti(p, sched, datas, widths)
+		if p.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			GatherWMulti(p, sched, datas, widths)
+		}
+	})
+}
+
+// BenchmarkDataMotionSplitPhase times a split-phase gather and scatter-add
+// pair, each started and immediately waited.
+func BenchmarkDataMotionSplitPhase(b *testing.B) {
+	benchDataMotion(b, func(p *comm.Proc, sched *Schedule, data []float64) {
+		GatherWStart(p, sched, data, 1).Wait()
+		ScatterWStart(p, sched, data, 1, OpAdd).Wait()
+	})
+}
+
 func BenchmarkDataMotionScatterAdd(b *testing.B) {
 	benchDataMotion(b, func(p *comm.Proc, sched *Schedule, data []float64) {
 		Scatter(p, sched, data, OpAdd)
