@@ -98,19 +98,10 @@ type Plan struct {
 	stageI []int32
 }
 
-// stageF64 returns scratch of exactly n elements backed by *buf.
-func stageF64(buf *[]float64, n int) []float64 {
+// stage returns scratch of exactly n elements backed by *buf.
+func stage[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// stageI32 returns scratch of exactly n elements backed by *buf.
-func stageI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -187,48 +178,22 @@ func (pl *Plan) MovedAway() int { return len(pl.sendIdx) }
 // MoveF64 relocates a float64 array (width components per element) from the
 // source layout to the destination layout. Collective.
 func (pl *Plan) MoveF64(p *comm.Proc, old []float64, width int) []float64 {
-	out := make([]float64, pl.newLen*width)
-	for k := range pl.keepIdx {
-		copy(out[int(pl.keepOff[k])*width:], old[int(pl.keepIdx[k])*width:int(pl.keepIdx[k]+1)*width])
-	}
-	p.ComputeMem(len(pl.keepIdx) * width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		idx := pl.sendTo(dst)
-		if len(idx) == 0 {
-			continue
-		}
-		buf := stageF64(&pl.stageF, len(idx)*width)
-		for i, li := range idx {
-			copy(buf[i*width:], old[int(li)*width:int(li+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagRemap, buf)
-	}
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		offs := pl.placeFrom(src)
-		if len(offs) == 0 {
-			continue
-		}
-		vals := p.RecvF64Into(src, tagRemap, pl.stageF)
-		pl.stageF = vals
-		if len(vals) != len(offs)*width {
-			panic(fmt.Sprintf("remap: from %d got %d values, want %d", src, len(vals), len(offs)*width))
-		}
-		for i, off := range offs {
-			copy(out[int(off)*width:], vals[i*width:(i+1)*width])
-		}
-		p.ComputeMem(len(vals))
-	}
-	return out
+	return move(pl, p, old, width, &pl.stageF, p.SendF64Buf, p.RecvF64Into)
 }
 
 // MoveI32 relocates an int32 array (width components per element), e.g.
 // indirection arrays whose values are global indices and travel unchanged.
 // Collective.
 func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
-	out := make([]int32, pl.newLen*width)
+	return move(pl, p, old, width, &pl.stageI, p.SendI32Buf, p.RecvI32Into)
+}
+
+// move is the body of MoveF64 and MoveI32: keep-list copies, then
+// ring-order packed sends through *stg (plan-owned scratch) with send, then
+// ring-order receives with recv placed at the destination offsets.
+func move[T any](pl *Plan, p *comm.Proc, old []T, width int, stg *[]T,
+	send func(to, tag int, xs []T), recv func(from, tag int, dst []T) []T) []T {
+	out := make([]T, pl.newLen*width)
 	for k := range pl.keepIdx {
 		copy(out[int(pl.keepOff[k])*width:], old[int(pl.keepIdx[k])*width:int(pl.keepIdx[k]+1)*width])
 	}
@@ -239,12 +204,12 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 		if len(idx) == 0 {
 			continue
 		}
-		buf := stageI32(&pl.stageI, len(idx)*width)
+		buf := stage(stg, len(idx)*width)
 		for i, li := range idx {
 			copy(buf[i*width:], old[int(li)*width:int(li+1)*width])
 		}
 		p.ComputeMem(len(buf))
-		p.SendI32Buf(dst, tagRemap, buf)
+		send(dst, tagRemap, buf)
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
@@ -252,8 +217,8 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 		if len(offs) == 0 {
 			continue
 		}
-		vals := p.RecvI32Into(src, tagRemap, pl.stageI)
-		pl.stageI = vals
+		vals := recv(src, tagRemap, *stg)
+		*stg = vals
 		if len(vals) != len(offs)*width {
 			panic(fmt.Sprintf("remap: from %d got %d values, want %d", src, len(vals), len(offs)*width))
 		}
@@ -304,7 +269,7 @@ func (pl *Plan) MoveCSR(p *comm.Proc, ptr []int32, values []int32) ([]int32, []i
 		for _, li := range idx {
 			n += int(segLen(li))
 		}
-		buf := stageI32(&pl.stageI, n)[:0]
+		buf := stage(&pl.stageI, n)[:0]
 		for _, li := range idx {
 			buf = append(buf, values[ptr[li]:ptr[li+1]]...)
 		}

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,8 +144,8 @@ func TestMultiScatterBitIdenticalToSingles(t *testing.T) {
 	}
 }
 
-// TestMultiValidation exercises the argument checks shared by both fused
-// collectives.
+// TestMultiValidation exercises the argument checks every transfer shares:
+// fused, single-array and split-phase.
 func TestMultiValidation(t *testing.T) {
 	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		owners := []int32{0, 0, 0, 0}
@@ -172,5 +173,13 @@ func TestMultiValidation(t *testing.T) {
 		expectPanic("short buffer", func() {
 			ScatterWMulti(p, sched, [][]float64{data}, []int{2}, OpAdd)
 		})
+		for _, w := range []int{0, -1} {
+			expectPanic(fmt.Sprintf("GatherW width %d", w), func() { GatherW(p, sched, data, w) })
+			expectPanic(fmt.Sprintf("ScatterW width %d", w), func() { ScatterW(p, sched, data, w, OpAdd) })
+			expectPanic(fmt.Sprintf("GatherWStart width %d", w), func() { GatherWStart(p, sched, data, w) })
+			expectPanic(fmt.Sprintf("ScatterWStart width %d", w), func() { ScatterWStart(p, sched, data, w, OpAdd) })
+		}
+		// A rejected Start leaves no motion in flight.
+		GatherWStart(p, sched, data, 1).Wait()
 	})
 }

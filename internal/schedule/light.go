@@ -85,19 +85,10 @@ func (ls *LightSchedule) TotalSend() int {
 	return n
 }
 
-// growF64 returns scratch of length 0 and capacity >= n backed by *buf.
-func growF64(buf *[]float64, n int) []float64 {
+// grow returns scratch of length 0 and capacity >= n backed by *buf.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, 0, n)
-	}
-	*buf = (*buf)[:0]
-	return *buf
-}
-
-// growI32 returns scratch of length 0 and capacity >= n backed by *buf.
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, 0, n)
+		*buf = make([]T, 0, n)
 	}
 	*buf = (*buf)[:0]
 	return *buf
@@ -108,49 +99,7 @@ func growI32(buf *[]int32, n int) []int32 {
 // across the two calls (both pack and append in identical order), so an
 // item's components may be split across one int and one float move.
 func (ls *LightSchedule) MoveI32(p *comm.Proc, dest []int32, items []int32, width int) []int32 {
-	return ls.MoveI32Into(p, dest, items, width, nil)
-}
-
-// MoveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
-func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
-	if len(items) != len(dest)*width {
-		panic(fmt.Sprintf("schedule: MoveI32 with %d values for %d items of width %d", len(items), len(dest), width))
-	}
-	if ls.packI == nil {
-		ls.packI = make([][]int32, ls.nprocs)
-	}
-	packed := ls.packI
-	for r := range packed {
-		packed[r] = growI32(&packed[r], int(ls.SendCounts[r])*width)
-	}
-	for i, d := range dest {
-		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
-	}
-	p.ComputeMem(len(items))
-
-	out = growI32(&out, ls.TotalRecv()*width)
-	out = append(out, packed[p.Rank()]...)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		if len(packed[dst]) > 0 {
-			p.SendI32Buf(dst, tagAppend, packed[dst])
-		}
-	}
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		if ls.RecvCounts[src] == 0 || src == p.Rank() {
-			continue
-		}
-		pos := len(out)
-		want := int(ls.RecvCounts[src]) * width
-		vals := p.RecvI32Into(src, tagAppend, out[pos:pos+want])
-		if len(vals) != want {
-			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))
-		}
-		out = out[:pos+want]
-	}
-	p.ComputeMem(ls.TotalRecv() * width)
-	return out
+	return moveInto(ls, p, dest, items, width, nil, &ls.packI, p.SendI32Buf, p.RecvI32Into)
 }
 
 // MoveF64 performs scatter_append: item i (the width float64 values
@@ -166,28 +115,36 @@ func (ls *LightSchedule) MoveF64(p *comm.Proc, dest []int32, items []float64, wi
 // returned slice and feed it back on the next time step make the append
 // allocation-free in steady state. out may be nil.
 func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64, width int, out []float64) []float64 {
+	return moveInto(ls, p, dest, items, width, out, &ls.packF, p.SendF64Buf, p.RecvF64Into)
+}
+
+// moveInto is the scatter_append body behind MoveF64Into and MoveI32: it
+// packs items per destination into *pack (per-destination scratch reused
+// across calls), keeps its own items, sends the rest with send in ring
+// order and appends what recv delivers into out[:0].
+func moveInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items []T, width int, out []T, pack *[][]T,
+	send func(to, tag int, xs []T), recv func(from, tag int, dst []T) []T) []T {
 	if len(items) != len(dest)*width {
-		panic(fmt.Sprintf("schedule: MoveF64 with %d values for %d items of width %d", len(items), len(dest), width))
+		panic(fmt.Sprintf("schedule: move of %d values for %d items of width %d", len(items), len(dest), width))
 	}
-	// Pack per destination into schedule-owned scratch.
-	if ls.packF == nil {
-		ls.packF = make([][]float64, ls.nprocs)
+	if *pack == nil {
+		*pack = make([][]T, ls.nprocs)
 	}
-	packed := ls.packF
+	packed := *pack
 	for r := range packed {
-		packed[r] = growF64(&packed[r], int(ls.SendCounts[r])*width)
+		packed[r] = grow(&packed[r], int(ls.SendCounts[r])*width)
 	}
 	for i, d := range dest {
 		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
 	}
 	p.ComputeMem(len(items))
 
-	out = growF64(&out, ls.TotalRecv()*width)
+	out = grow(&out, ls.TotalRecv()*width)
 	out = append(out, packed[p.Rank()]...) // keep own items, in order
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
 		if len(packed[dst]) > 0 {
-			p.SendF64Buf(dst, tagAppend, packed[dst])
+			send(dst, tagAppend, packed[dst])
 		}
 	}
 	for k := 1; k < p.Size(); k++ {
@@ -197,7 +154,7 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 		}
 		pos := len(out)
 		want := int(ls.RecvCounts[src]) * width
-		vals := p.RecvF64Into(src, tagAppend, out[pos:pos+want])
+		vals := recv(src, tagAppend, out[pos:pos+want])
 		if len(vals) != want {
 			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))
 		}

@@ -153,22 +153,32 @@ func Build(p *comm.Proc, ht *hashtab.Table, include, exclude hashtab.Stamp) *Sch
 // steady-state rebuilds perform no heap allocation: the CSR backing arrays,
 // the request/reply exchange buffers and the selection scratch are all
 // retained across calls. The returned schedule is s (or a fresh one).
+func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude hashtab.Stamp) *Schedule {
+	if s == nil {
+		s = &Schedule{}
+	}
+	s.selEnts = ht.SelectInto(s.selEnts, include, exclude)
+	s.fromEntries(p, ht.NLocal())
+	p.ComputeMem(s.TotalSend() + s.TotalFetch())
+	return s
+}
+
+// fromEntries fills s from the entries in s.selEnts: each off-processor
+// entry asks its owner for the element at Offset and lands it in ghost slot
+// Local. It buckets the requests per owner and exchanges them; it charges
+// no compute of its own, so each caller keeps its own ComputeMem charges.
 //
 // The request exchange is point-to-point in the exact ring order AllToAll
 // uses (send to rank+k, receive from rank-k, empty messages included), so
 // the modeled message counts, wire bytes and virtual times are identical to
 // the collective form.
-func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude hashtab.Stamp) *Schedule {
-	if s == nil {
-		s = &Schedule{}
-	}
+func (s *Schedule) fromEntries(p *comm.Proc, nLocal int) {
 	s.nprocs = p.Size()
-	s.minLen = ht.NLocal()
+	s.minLen = nLocal
 
 	// Request lists per owner: the owner-local offsets we need, and the
 	// ghost slots they map to here. Count per owner, prefix-sum, then fill
 	// — the CSR build. reqOff shares recvPtr's extents with recvSlot.
-	s.selEnts = ht.SelectInto(s.selEnts, include, exclude)
 	ptr := zeroI32(&s.recvPtr, p.Size()+1)
 	for _, e := range s.selEnts {
 		if int(e.Owner) != p.Rank() {
@@ -211,8 +221,6 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 		s.sendOff = append(s.sendOff, s.recvBuf...)
 		sendIx[2*src+1] = int32(len(s.sendOff))
 	}
-	p.ComputeMem(s.TotalSend() + s.TotalFetch())
-	return s
 }
 
 // FromTranslated builds a schedule directly from already-translated
@@ -229,56 +237,18 @@ func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedul
 	if len(owners) != len(offsets) {
 		panic(fmt.Sprintf("schedule: %d owners but %d offsets", len(owners), len(offsets)))
 	}
-	s := &Schedule{nprocs: p.Size(), minLen: nLocal}
+	s := &Schedule{selEnts: make([]hashtab.Entry, 0, len(owners))}
 	loc := make([]int32, len(owners))
-	ptr := make([]int32, p.Size()+1)
-	for _, o := range owners {
-		if int(o) != p.Rank() {
-			ptr[o+1]++
-		}
-	}
-	for r := 0; r < p.Size(); r++ {
-		ptr[r+1] += ptr[r]
-	}
-	nFetch := int(ptr[p.Size()])
-	s.recvSlot = make([]int32, nFetch)
-	s.recvPtr = ptr
-	reqOff := make([]int32, nFetch)
-	cur := make([]int32, p.Size())
-	ghost := 0
 	for k, o := range owners {
 		if int(o) == p.Rank() {
 			loc[k] = offsets[k]
 			continue
 		}
-		slot := int32(nLocal + ghost)
-		ghost++
-		loc[k] = slot
-		i := ptr[o] + cur[o]
-		cur[o]++
-		reqOff[i] = offsets[k]
-		s.recvSlot[i] = slot
+		loc[k] = int32(nLocal + len(s.selEnts))
+		s.selEnts = append(s.selEnts, hashtab.Entry{Owner: o, Offset: offsets[k], Local: loc[k]})
 	}
-	s.minLen = nLocal + ghost
 	p.ComputeMem(len(owners))
-
-	// One flat request buffer, per-peer subslices (wire bytes unchanged).
-	bufs := make([][]byte, p.Size())
-	flat := make([]byte, 0, 4*nFetch)
-	for r := 0; r < p.Size(); r++ {
-		start := len(flat)
-		flat = comm.AppendI32(flat, reqOff[ptr[r]:ptr[r+1]])
-		bufs[r] = flat[start:len(flat):len(flat)]
-	}
-	s.sendIx = make([]int32, 2*p.Size())
-	for r, b := range p.AllToAll(bufs) {
-		if r == p.Rank() {
-			continue
-		}
-		s.sendIx[2*r] = int32(len(s.sendOff))
-		s.sendOff = append(s.sendOff, comm.DecodeI32(b)...)
-		s.sendIx[2*r+1] = int32(len(s.sendOff))
-	}
+	s.fromEntries(p, nLocal)
 	p.ComputeMem(s.TotalSend())
 	return s, loc
 }
@@ -304,43 +274,8 @@ func Gather(p *comm.Proc, s *Schedule, data []float64) {
 // schedule-owned scratch, the wire bytes through the Proc send arena, and
 // unpacking through scratch grown on the first call.
 func GatherW(p *comm.Proc, s *Schedule, data []float64, width int) {
-	s.checkLen(len(data), width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(offs)*width)
-		for i, off := range offs {
-			copy(buf[i*width:], data[int(off)*width:int(off+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagGather, buf)
-	}
-	gatherRecv(p, s, data, width)
-}
-
-// gatherRecv is GatherW's receive half: ring-order receives with interleaved
-// unpacking. Shared verbatim by the blocking path and Motion.Wait, so the
-// two modes charge identical virtual sequences.
-func gatherRecv(p *comm.Proc, s *Schedule, data []float64, width int) {
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		slots := s.RecvSlots(src)
-		if len(slots) == 0 {
-			continue
-		}
-		vals := p.RecvF64Into(src, tagGather, s.stageR)
-		s.stageR = vals
-		if len(vals) != len(slots)*width {
-			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", src, len(vals), len(slots)*width))
-		}
-		for i, slot := range slots {
-			copy(data[int(slot)*width:int(slot+1)*width], vals[i*width:(i+1)*width])
-		}
-		p.ComputeMem(len(vals))
-	}
+	s.send(p, true, [][]float64{data}, []int{width}, nil)
+	s.recv(p, true, [][]float64{data}, []int{width}, OpReplace)
 }
 
 // CombineOp selects how Scatter combines incoming values with resident ones.
@@ -366,38 +301,92 @@ func Scatter(p *comm.Proc, s *Schedule, data []float64, op CombineOp) {
 // allocation-free in steady state, and the combine switch is resolved once
 // per message rather than once per element.
 func ScatterW(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) {
-	s.checkLen(len(data), width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(slots)*width)
-		for i, slot := range slots {
-			copy(buf[i*width:], data[int(slot)*width:int(slot+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagScatter, buf)
-	}
-	scatterRecv(p, s, data, width, op)
+	s.send(p, false, [][]float64{data}, []int{width}, nil)
+	s.recv(p, false, [][]float64{data}, []int{width}, op)
 }
 
-// scatterRecv is ScatterW's receive half: ring-order receives with the
-// combine applied per message. Shared by the blocking path and Motion.Wait.
-func scatterRecv(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) {
+// rows returns the row list a transfer with peer r packs from (out) or
+// unpacks into (!out). A gather sends the send lists and fills the
+// permutation lists; a scatter is the same transfer with the two swapped.
+func (s *Schedule) rows(gather, out bool, r int) []int32 {
+	if gather == out {
+		return s.SendOffs(r)
+	}
+	return s.RecvSlots(r)
+}
+
+// shape returns a transfer's message tag and its packed values per row.
+func shape(gather bool, widths []int) (tag, row int) {
+	tag = tagScatter
+	if gather {
+		tag = tagGather
+	}
+	for _, w := range widths {
+		row += w
+	}
+	return tag, row
+}
+
+// send is the send half of every Schedule transfer: blocking, fused and
+// split-phase gathers and scatters. It validates the arrays, then visits
+// peers in ring order; for each peer with rows to send it packs every
+// array's rows into one message, array after array in argument order, and
+// charges and sends it. With a non-nil motion the sends are split-phase and
+// their handles are recorded in mo.
+func (s *Schedule) send(p *comm.Proc, gather bool, datas [][]float64, widths []int, mo *Motion) {
+	s.checkMulti(datas, widths)
+	tag, row := shape(gather, widths)
 	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		offs := s.SendOffs(src)
-		if len(offs) == 0 {
+		dst := (p.Rank() + k) % p.Size()
+		rows := s.rows(gather, true, dst)
+		if len(rows) == 0 {
 			continue
 		}
-		vals := p.RecvF64Into(src, tagScatter, s.stageR)
-		s.stageR = vals
-		if len(vals) != len(offs)*width {
-			panic(fmt.Sprintf("schedule: scatter from %d delivered %d values, want %d", src, len(vals), len(offs)*width))
+		buf := stage(&s.stageS, len(rows)*row)
+		// Rows are a few values wide, so an element loop beats a memmove
+		// call per row.
+		at := 0
+		for b, data := range datas {
+			w := widths[b]
+			for _, r := range rows {
+				for _, v := range data[int(r)*w : int(r+1)*w] {
+					buf[at] = v
+					at++
+				}
+			}
 		}
-		combine(op, data, offs, vals, width)
+		p.ComputeMem(len(buf))
+		if mo != nil {
+			mo.pend = append(mo.pend, p.SendF64BufStart(dst, tag, buf))
+		} else {
+			p.SendF64Buf(dst, tag, buf)
+		}
+	}
+}
+
+// recv is the receive half of every Schedule transfer: ring-order receives,
+// each message split per array and combined into it under op (a gather
+// combines with OpReplace). Shared by the blocking paths and Motion.Wait,
+// so all modes charge identical virtual sequences.
+func (s *Schedule) recv(p *comm.Proc, gather bool, datas [][]float64, widths []int, op CombineOp) {
+	tag, row := shape(gather, widths)
+	for k := 1; k < p.Size(); k++ {
+		src := (p.Rank() - k + p.Size()) % p.Size()
+		rows := s.rows(gather, false, src)
+		if len(rows) == 0 {
+			continue
+		}
+		vals := p.RecvF64Into(src, tag, s.stageR)
+		s.stageR = vals
+		if len(vals) != len(rows)*row {
+			panic(fmt.Sprintf("schedule: transfer from %d delivered %d values, want %d", src, len(vals), len(rows)*row))
+		}
+		at := 0
+		for b, data := range datas {
+			n := len(rows) * widths[b]
+			combine(op, data, rows, vals[at:at+n], widths[b])
+			at += n
+		}
 		p.ComputeMem(len(vals))
 	}
 }

@@ -37,27 +37,26 @@ type Motion struct {
 	active bool
 }
 
-// claimMotion readies the schedule's embedded motion handle, panicking if
-// one is already in flight (two concurrent motions would interleave on the
-// same tag and corrupt both).
-func (s *Schedule) claimMotion(p *comm.Proc, gather bool) *Motion {
+// start runs the send half of a split-phase transfer and records the
+// receive half in the schedule's embedded motion handle. It panics if a
+// motion is already in flight (two concurrent motions would interleave on
+// the same tag and corrupt both).
+func (s *Schedule) start(p *comm.Proc, gather bool, data []float64, width int, op CombineOp) *Motion {
 	mo := &s.motion
 	if mo.active {
 		panic("schedule: a split-phase motion is already in flight on this schedule")
 	}
-	mo.p, mo.s, mo.gather, mo.active = p, s, gather, true
 	mo.pend = mo.pend[:0]
-	return mo
-}
-
-// flushStart yields the processor once after a Start batch so the rank's
-// sender goroutine (comm.SendStart hands frames to a per-rank queue, not to
-// the transport directly) gets scheduled and pushes the batch onto the wire
-// before the caller's interior computation begins. Without the yield, on a
-// host with few hardware threads the sender may not run until the caller's
-// next blocking point — typically Wait — which would start the wire latency
-// after the interior window instead of underneath it, defeating the overlap.
-func flushStart(mo *Motion) *Motion {
+	s.send(p, gather, [][]float64{data}, []int{width}, mo)
+	mo.p, mo.s, mo.data, mo.width, mo.op, mo.gather, mo.active = p, s, data, width, op, gather, true
+	// Yield once after the batch so the rank's sender goroutine
+	// (comm.SendStart hands frames to a per-rank queue, not to the transport
+	// directly) gets scheduled and pushes the batch onto the wire before the
+	// caller's interior computation begins. Without the yield, on a host
+	// with few hardware threads the sender may not run until the caller's
+	// next blocking point — typically Wait — which would start the wire
+	// latency after the interior window instead of underneath it, defeating
+	// the overlap.
 	if len(mo.pend) > 0 {
 		runtime.Gosched()
 	}
@@ -82,11 +81,7 @@ func (mo *Motion) Wait() {
 		h.Wait()
 	}
 	mo.pend = mo.pend[:0]
-	if mo.gather {
-		gatherRecv(p, mo.s, mo.data, mo.width)
-	} else {
-		scatterRecv(p, mo.s, mo.data, mo.width, mo.op)
-	}
+	mo.s.recv(p, mo.gather, [][]float64{mo.data}, []int{mo.width}, mo.op)
 	mo.p, mo.s, mo.data = nil, nil, nil
 	mo.active = false
 }
@@ -97,23 +92,7 @@ func (mo *Motion) Wait() {
 // after Start returns; the ghost section must not be read or written until
 // Wait returns.
 func GatherWStart(p *comm.Proc, s *Schedule, data []float64, width int) *Motion {
-	s.checkLen(len(data), width)
-	mo := s.claimMotion(p, true)
-	mo.data, mo.width = data, width
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(offs)*width)
-		for i, off := range offs {
-			copy(buf[i*width:], data[int(off)*width:int(off+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagGather, buf))
-	}
-	return flushStart(mo)
+	return s.start(p, true, data, width, OpReplace)
 }
 
 // ScatterWStart begins a split-phase ScatterW: the ghost section of data is
@@ -123,23 +102,7 @@ func GatherWStart(p *comm.Proc, s *Schedule, data []float64, width int) *Motion 
 // while the wire is busy), because the blocking schedule's remote combines
 // land after all local writes anyway.
 func ScatterWStart(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) *Motion {
-	s.checkLen(len(data), width)
-	mo := s.claimMotion(p, false)
-	mo.data, mo.width, mo.op = data, width, op
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(slots)*width)
-		for i, slot := range slots {
-			copy(buf[i*width:], data[int(slot)*width:int(slot+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagScatter, buf))
-	}
-	return flushStart(mo)
+	return s.start(p, false, data, width, op)
 }
 
 // SplitFlat classifies a flat two-indirection loop for the split-phase
