@@ -90,8 +90,8 @@ func goldenPlanRun(nprocs int) goldenOut {
 	return goldenOut{math.Float64bits(rep.MaxClock()), fnvWords(clocks), fnvWords(stats), fnvWords(all)}
 }
 
-// goldenPlanWant holds the digests captured before MoveF64 and MoveI32
-// were folded into one generic mover.
+// goldenPlanWant pins each rank count: a change to any clock, message or
+// byte count, or moved value moves its digest.
 var goldenPlanWant = map[int]goldenOut{
 	2: {0x3f64a5538c192871, 0xd1ad3fbd0b5bd773, 0x4c0d3a2df17682bf, 0x9f810a1dbffbaae1},
 	3: {0x3f69d18d50e0ee15, 0xfce00b9e07f36303, 0xaf8546f6385fd313, 0xeb6c41fc8c900621},

@@ -189,8 +189,8 @@ func goldenScatter(op CombineOp) func(p *comm.Proc, owners []int32, res *goldenF
 	}
 }
 
-// goldenWant holds the digests captured before the single-array, fused
-// and split-phase transfers were folded into one pack/unpack core.
+// goldenWant pins every case: a change to any clock, message or byte count,
+// or result bit of a transfer moves its digest.
 var goldenWant = map[string]goldenOut{
 	"gather/2":          {0x3f59a26875345f82, 0xeffa1f6c0d00f591, 0xa7742c0383c87a7a, 0xe92c128cac5aa4c1},
 	"gather/3":          {0x3f60be134b8c4572, 0x55109bd7efefa59b, 0xc025c9c0453813a3, 0x64147e6e7be45966},
