@@ -5,7 +5,7 @@
 // Usage:
 //
 //	charmm [-procs N] [-atoms N] [-steps N] [-nbevery N] [-part rcb|rib|chain|block]
-//	       [-multiple] [-remap N] [-adapt static|periodic:N|policy] [-adapt-verify]
+//	       [-multiple] [-adapt static|periodic:N|policy] [-adapt-verify]
 //	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
@@ -53,8 +53,7 @@ func main() {
 	nbevery := flag.Int("nbevery", 5, "non-bonded list update interval")
 	part := flag.String("part", "rcb", "partitioner: rcb, rib, chain, block")
 	multiple := flag.Bool("multiple", false, "use per-loop schedules instead of merged")
-	remapEvery := flag.Int("remap", 0, "repartition every N steps (0 = once at start)")
-	adaptMode := flag.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
+	adaptMode := flag.String("adapt", "static", "remap trigger: static (partition once at start), periodic:N or policy")
 	adaptVerify := flag.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
 	doTrace := flag.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
 	compiled := flag.Bool("compiled", false, "run the compiler-generated (loopir) version of the application")
@@ -71,7 +70,6 @@ func main() {
 	cfg.NBEvery = *nbevery
 	cfg.Partitioner = *part
 	cfg.Merged = !*multiple
-	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
 	cfg.AdaptVerify = *adaptVerify
 	cfg.CheckpointDir = *ckptDir
@@ -84,10 +82,6 @@ func main() {
 
 	runner := charmm.Run
 	if *compiled {
-		if *ckptEvery > 0 || *resume != "" {
-			fmt.Fprintln(os.Stderr, "charmm: checkpointing is not supported for the -compiled variant")
-			os.Exit(2)
-		}
 		runner = charmm.RunCompiled
 	}
 	results := make([]*charmm.ProcResult, *procs)
@@ -105,17 +99,15 @@ func main() {
 	if *compiled {
 		kind = "compiler-generated"
 	}
-	fmt.Printf("mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v\n",
-		kind, cfg.NAtoms, cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged)
+	fmt.Printf("mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v trigger=%s\n",
+		kind, cfg.NAtoms, cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged, cfg.Adapt)
 	fmt.Printf("  processors          : %d\n", *procs)
 	fmt.Printf("  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
 	fmt.Printf("  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())
 	fmt.Printf("  communication time  : %10.3f virtual s (mean)\n", rep.MeanCommTime())
 	fmt.Printf("  load balance index  : %10.3f\n", rep.LoadBalance())
 	fmt.Printf("  messages / volume   : %d msgs, %.2f MB\n", rep.TotalMsgsSent(), float64(rep.TotalBytesSent())/1e6)
-	if cfg.Adapt != "" {
-		fmt.Printf("  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[0].RemapSteps)
-	}
+	fmt.Printf("  remapped at steps   : %v\n", results[0].RemapSteps)
 	fmt.Printf("  nb list entries     : %d\n", results[0].NBEntries)
 	fmt.Printf("  position checksum   : %.9f\n", results[0].Checksum)
 	if *measure {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dsmc [-procs N] [-nx N -ny N -nz N] [-mols N] [-steps N]
-//	     [-mover light|regular|compiler] [-part block|rcb|rib|chain] [-remap N]
+//	     [-mover light|regular|compiler] [-part block|rcb|rib|chain]
 //	     [-adapt static|periodic:N|policy] [-adapt-verify]
 //	     [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
 //
@@ -56,8 +56,7 @@ func main() {
 	steps := flag.Int("steps", 50, "time steps")
 	mover := flag.String("mover", "light", "MOVE implementation: light, regular, compiler")
 	part := flag.String("part", "block", "partitioner for remapping")
-	remapEvery := flag.Int("remap", 0, "remap cells every N steps (0 = static)")
-	adaptMode := flag.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
+	adaptMode := flag.String("adapt", "static", "remap trigger: static (partition once at start), periodic:N or policy")
 	adaptVerify := flag.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
 	slab := flag.Float64("slab", 1.0, "initial x-extent fraction holding all molecules")
 	doTrace := flag.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
@@ -84,7 +83,6 @@ func main() {
 	cfg.Steps = *steps
 	cfg.Mover = dsmc.Mover(*mover)
 	cfg.Partitioner = *part
-	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
 	cfg.AdaptVerify = *adaptVerify
 	cfg.InitSlabFrac = *slab
@@ -107,11 +105,9 @@ func main() {
 		rep = comm.Run(*procs, costmodel.IPSC860(), body)
 	}
 
-	fmt.Printf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
-		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.RemapEvery)
-	if cfg.Adapt != "" {
-		fmt.Printf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[0].RemapSteps)
-	}
+	fmt.Printf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s trigger=%s\n",
+		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.Adapt)
+	fmt.Printf("  remapped after steps: %v\n", results[0].RemapSteps)
 	fmt.Printf("  processors          : %d\n", *procs)
 	fmt.Printf("  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
 	fmt.Printf("  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())

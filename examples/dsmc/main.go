@@ -46,15 +46,15 @@ func main() {
 	for _, pol := range []struct {
 		name  string
 		part  string
-		remap int
+		adapt string
 	}{
-		{"static partition", "block", 0},
-		{"RCB every 10", "rcb", 10},
-		{"chain every 10", "chain", 10},
+		{"static partition", "block", "static"},
+		{"RCB every 10", "rcb", "periodic:10"},
+		{"chain every 10", "chain", "periodic:10"},
 	} {
 		c := cfg3
 		c.Partitioner = pol.part
-		c.RemapEvery = pol.remap
+		c.Adapt = pol.adapt
 		rep := comm.Run(8, costmodel.IPSC860(), func(p *comm.Proc) {
 			dsmc.Run(p, c)
 		})

@@ -14,6 +14,8 @@
 //     cost of a repartition+remap episode from the last observed one, and
 //     triggers a remap only when the modeled payoff over a lookahead
 //     window exceeds that cost, with hysteresis and a cooldown.
+//   - Trigger is the applications' one "when to remap" decision point:
+//     static, every N steps, or whenever a Policy decides.
 //
 // Every decision either controller makes is derived exclusively from
 // AllReduce'd quantities, so all ranks compute identical plans and

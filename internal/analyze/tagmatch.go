@@ -6,9 +6,12 @@ import (
 )
 
 // sendMethods and recvMethods are the point-to-point primitives whose
-// second argument is the message tag.
-var sendMethods = map[string]bool{"Send": true, "SendF64": true, "SendI32": true, "SendI64": true}
-var recvMethods = map[string]bool{"Recv": true, "RecvF64": true, "RecvI32": true, "RecvI64": true}
+// second argument is the message tag: the encoding forms, the arena (Buf,
+// Into) forms and the split-phase Start forms.
+var sendMethods = map[string]bool{"Send": true, "SendF64": true, "SendI32": true, "SendI64": true,
+	"SendF64Buf": true, "SendI32Buf": true, "SendI64Buf": true, "SendStart": true, "SendF64BufStart": true}
+var recvMethods = map[string]bool{"Recv": true, "RecvF64": true, "RecvI32": true, "RecvI64": true,
+	"RecvF64Into": true, "RecvI32Into": true, "RecvI64Into": true}
 
 // TagMatch flags constant message tags that appear on only one side of the
 // Send/Recv pairing within a package. Tags are the only matching key the

@@ -53,3 +53,26 @@ func GoodVariableTag(p *comm.Proc, tag int) {
 	p.Send(right, tag, nil)
 	p.Recv(left, tag)
 }
+
+// BadOneSidedArenaTags pairs the arena and split-phase forms with
+// mismatched tags: 41 is started but received as 42.
+func BadOneSidedArenaTags(p *comm.Proc, buf []float64) []float64 {
+	if p.Size() < 2 {
+		return nil
+	}
+	right := (p.Rank() + 1) % p.Size()
+	left := (p.Rank() - 1 + p.Size()) % p.Size()
+	p.SendF64BufStart(right, 41, buf).Wait() // want:tag-match
+	return p.RecvF64Into(left, 42, buf)      // want:tag-match
+}
+
+// GoodPairedArenaTags is a matched exchange through the arena forms.
+func GoodPairedArenaTags(p *comm.Proc, idx []int32) []int32 {
+	if p.Size() < 2 {
+		return nil
+	}
+	right := (p.Rank() + 1) % p.Size()
+	left := (p.Rank() - 1 + p.Size()) % p.Size()
+	p.SendI32Buf(right, tagPing, idx)
+	return p.RecvI32Into(left, tagPing, idx)
+}

@@ -401,25 +401,23 @@ func Table5(sc Scale) *Table {
 		Notes:   []string{"remapped every 40 time steps; drifting molecule concentration"},
 	}
 	seq := sc.run(1, func(p *comm.Proc) {
-		c := cfg
-		c.RemapEvery = 0
-		dsmc.Run(p, c)
+		dsmc.Run(p, cfg)
 	})
 	policies := []struct {
 		name  string
 		part  string
-		remap int
+		adapt string
 	}{
-		{"Static partition", "block", 0},
-		{"Recursive bisection", "rcb", 40},
-		{"Chain partition", "chain", 40},
+		{"Static partition", "block", "static"},
+		{"Recursive bisection", "rcb", "periodic:40"},
+		{"Chain partition", "chain", "periodic:40"},
 	}
 	for i, pol := range policies {
 		row := []string{pol.name}
 		for _, n := range sc.Dsmc3DProcs {
 			c := cfg
 			c.Partitioner = pol.part
-			c.RemapEvery = pol.remap
+			c.Adapt = pol.adapt
 			rep := sc.run(n, func(p *comm.Proc) {
 				dsmc.Run(p, c)
 			})

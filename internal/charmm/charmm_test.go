@@ -208,7 +208,7 @@ func TestRemapEveryRuns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Steps = 8
 	cfg.NBEvery = 2
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.AlternatePartitioners = true
 	_, wantSum := Reference(cfg)
 	results := make([]*ProcResult, 3)

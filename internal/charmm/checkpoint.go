@@ -42,23 +42,9 @@ func saveCheckpoint(p *comm.Proc, s *simState, cfg Config, step, remapCount int)
 // are merged round-robin and the configured partitioner rebalances the
 // restored state onto the new machine (elastic restart). Collective.
 func resume(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer) (*simState, int, int) {
-	m, err := checkpoint.Open(cfg.ResumeFrom)
+	m, shards, el, err := checkpoint.Restore(p, cfg.ResumeFrom, "charmm", int64(cfg.NAtoms), atomFields)
 	if err != nil {
-		panic(fmt.Sprintf("charmm: open checkpoint: %v", err))
-	}
-	if m.App != "charmm" {
-		panic(fmt.Sprintf("charmm: checkpoint %s was written by %q", cfg.ResumeFrom, m.App))
-	}
-	if int(m.N) != cfg.NAtoms {
-		panic(fmt.Sprintf("charmm: checkpoint has %d atoms, config wants %d", m.N, cfg.NAtoms))
-	}
-	shards, err := checkpoint.LoadShards(cfg.ResumeFrom, m, p.Rank(), p.Size())
-	if err != nil {
-		panic(fmt.Sprintf("charmm: read shards: %v", err))
-	}
-	el, err := checkpoint.MergeShards(shards, atomFields)
-	if err != nil {
-		panic(fmt.Sprintf("charmm: merge shards: %v", err))
+		panic(fmt.Sprintf("charmm: resume: %v", err))
 	}
 
 	remapCount, clock := int64(0), 0.0

@@ -16,7 +16,7 @@ func ckptConfig() Config {
 	cfg := DefaultConfig().scaled(450)
 	cfg.Steps = 12
 	cfg.NBEvery = 3
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.AlternatePartitioners = true
 	return cfg
 }

@@ -1,7 +1,6 @@
 package charmm
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/loopir"
@@ -21,16 +20,13 @@ import (
 //
 // The result is physically identical to the hand-parallelized Run (within
 // floating-point summation order); the hand/compiled performance comparison
-// at kernel grain is Table 6 (see kernel.go).
+// at kernel grain is Table 6 (see kernel.go). Adapt selects the remap
+// trigger as for Run. Checkpointing, resume, crash injection and a
+// non-replicated TableKind are refused, not ignored.
 func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
-	validate(cfg)
-	switch mode, period := adapt.ParseMode(cfg.Adapt); mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static":
-		cfg.RemapEvery = 0
-	case "policy":
-		panic("charmm: Adapt=policy is not supported for the compiled variant")
+	trig := validate(cfg)
+	if cfg.CheckpointEvery > 0 || cfg.ResumeFrom != "" || cfg.CrashStep > 0 || (cfg.TableKind != "" && cfg.TableKind != "replicated") {
+		panic("charmm: the compiled variant supports no checkpointing, resume, crash injection or non-replicated TableKind")
 	}
 	init := GenInitState(cfg)
 	prog := loopir.NewProgram(p)
@@ -94,27 +90,30 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	// Initial preprocessing: list for weights, partition, fresh list,
 	// inspectors.
 	rebuildList(PhaseNBListInit)
+	trig.Begin(p)
 	repartitionAll(cfg.Partitioner)
 	rebuildList(PhaseNBList)
 	bonded.Inspect()
 	nonbonded.Inspect()
 	p.Barrier()
 	timer.Mark(PhaseSchedGen)
+	trig.End(p)
 
 	remapCount := 0
+	var remapSteps []int
+	trig.Baseline(p)
 	for step := 1; step <= cfg.Steps; step++ {
-		if cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0 {
-			part := cfg.Partitioner
-			if cfg.AlternatePartitioners && remapCount%2 == 1 {
-				part = alternateOf(cfg.Partitioner)
-			}
+		if trig.Due(p, step) {
+			trig.Begin(p)
+			repartitionAll(remapPartitioner(cfg, remapCount))
 			remapCount++
-			repartitionAll(part)
 			rebuildList(PhaseNBUpdate)
 			bonded.Inspect()
 			nonbonded.Inspect()
 			p.Barrier()
 			timer.Mark(PhaseSchedRegen)
+			trig.End(p)
+			remapSteps = append(remapSteps, step)
 		} else if step%cfg.NBEvery == 0 {
 			rebuildList(PhaseNBUpdate)
 			nonbonded.Inspect() // generated guard: jnb's record changed
@@ -134,7 +133,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		timer.Mark(PhaseExecutor)
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans()}
+	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: remapSteps}
 	sum := 0.0
 	for _, v := range x.Local() {
 		if v < 0 {

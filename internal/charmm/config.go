@@ -32,15 +32,11 @@ type Config struct {
 	Steps int
 	// NBEvery regenerates the non-bonded list every NBEvery steps.
 	NBEvery int
-	// RemapEvery, when positive, repartitions atoms (and re-runs the whole
-	// preprocessing pipeline) every RemapEvery steps, alternating RCB and
-	// RIB when AlternatePartitioners is set (the Table 6 scenario).
-	RemapEvery int
-	// Adapt selects how repartitioning is triggered: "" leaves RemapEvery
-	// in charge, "static" repartitions only during setup, "periodic:N"
-	// repartitions every N steps, and "policy" lets the adapt.Policy engine
-	// decide online from AllReduce'd per-step compute costs. "static" and
-	// "policy" override RemapEvery.
+	// Adapt selects when atoms are repartitioned (and the whole
+	// preprocessing pipeline re-run): "" or "static" only during setup,
+	// "periodic:N" every N steps, and "policy" when the adapt.Policy engine
+	// decides online from AllReduce'd per-step compute costs. Remaps
+	// alternate RCB and RIB when AlternatePartitioners is set.
 	Adapt string
 	// AdaptVerify enables the policy engine's cross-rank agreement check.
 	AdaptVerify bool

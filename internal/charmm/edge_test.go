@@ -1,6 +1,7 @@
 package charmm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestCompiledAppMatchesHandAndReference(t *testing.T) {
 	}
 
 	// With remapping (the fully adaptive scenario).
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.AlternatePartitioners = true
 	_, want = Reference(cfg)
 	results := make([]*ProcResult, 3)
@@ -153,6 +154,63 @@ func TestCompiledAppMatchesHandAndReference(t *testing.T) {
 	}
 	if results[0].Phases[PhaseSchedRegen] <= 0 {
 		t.Errorf("no schedule regeneration recorded: %v", results[0].Phases)
+	}
+
+	// Under the online remap policy, with its agreement check armed.
+	cfg.Adapt = "policy"
+	cfg.AdaptVerify = true
+	_, want = Reference(cfg)
+	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
+		results[p.Rank()] = RunCompiled(p, cfg)
+	})
+	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
+		t.Errorf("policy compiled checksum %v, want %v", results[0].Checksum, want)
+	}
+}
+
+// TestCompiledReportsRemapSteps: RunCompiled reports the steps its trigger
+// remapped at, the same steps Run reports for the same configuration.
+func TestCompiledReportsRemapSteps(t *testing.T) {
+	cfg := DefaultConfig().scaled(300)
+	cfg.Steps = 8
+	cfg.NBEvery = 3
+	cfg.Adapt = "periodic:2"
+	for i, run := range []func(*comm.Proc, Config) *ProcResult{Run, RunCompiled} {
+		results := make([]*ProcResult, 3)
+		comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
+			results[p.Rank()] = run(p, cfg)
+		})
+		if got := fmt.Sprint(results[0].RemapSteps); got != "[2 4 6 8]" {
+			t.Errorf("runner %d (Run, RunCompiled) remapped at %s, want [2 4 6 8]", i, got)
+		}
+	}
+}
+
+// TestCompiledRefusesUnsupportedOptions: RunCompiled panics on the options
+// it has no implementation for instead of silently ignoring them.
+func TestCompiledRefusesUnsupportedOptions(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"checkpoint", func(c *Config) { c.CheckpointEvery, c.CheckpointDir = 1, dir }},
+		{"resume", func(c *Config) { c.ResumeFrom = dir }},
+		{"crash", func(c *Config) { c.CrashStep = 1 }},
+		{"table", func(c *Config) { c.TableKind = "distributed" }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig().scaled(60)
+		cfg.Steps = 2
+		tc.set(&cfg)
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: RunCompiled accepted an unsupported option", tc.name)
+				}
+			}()
+			RunCompiled(p, cfg)
+		})
 	}
 }
 

@@ -87,19 +87,7 @@ func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 }
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
-	validate(cfg)
-	mode, period := adapt.ParseMode(cfg.Adapt)
-	switch mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static", "policy":
-		cfg.RemapEvery = 0
-	}
-	var pol *adapt.Policy
-	if mode == "policy" {
-		pol = adapt.NewPolicy()
-		pol.Verify = cfg.AdaptVerify
-	}
+	trig := validate(cfg)
 	rt := core.NewRuntime(p)
 	switch cfg.TableKind {
 	case "", "replicated":
@@ -118,39 +106,26 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 	if cfg.ResumeFrom != "" {
 		s, startStep, remapCount = resume(p, rt, cfg, timer)
 	} else {
-		s = setup(p, rt, cfg, timer, pol)
+		s = setup(p, rt, cfg, timer, trig)
 	}
 
 	var remapSteps []int
-	lastCost := adapt.CostPoint(p)
+	trig.Baseline(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("charmm: injected crash on rank %d at step %d", p.Rank(), step))
 		}
-		doRemap := cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0
-		if pol != nil {
-			now := adapt.CostPoint(p)
-			doRemap = pol.Step(p, now-lastCost)
-			lastCost = now
-		}
-		if doRemap {
-			part := cfg.Partitioner
-			if cfg.AlternatePartitioners && remapCount%2 == 1 {
-				part = alternateOf(cfg.Partitioner)
-			}
+		if trig.Due(p, step) {
+			trig.Begin(p)
+			repartition(p, s, remapPartitioner(cfg, remapCount), timer)
 			remapCount++
-			t0 := adapt.EpisodePoint(p)
-			repartition(p, s, part, timer)
 			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg)
 			p.Barrier()
 			timer.Mark(PhaseNBUpdate)
 			buildInspector(p, s, cfg)
 			p.Barrier()
 			timer.Mark(PhaseSchedRegen)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-				lastCost = adapt.CostPoint(p)
-			}
+			trig.End(p)
 			remapSteps = append(remapSteps, step)
 		} else if step%cfg.NBEvery == 0 {
 			// Adaptive phase: the non-bonded list changes; index analysis
@@ -189,10 +164,9 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 }
 
 // setup generates the initial condition and runs the full preprocessing
-// pipeline (initial list, phases A-E) for a fresh run. When a remap policy
-// is active, the initial partition+list+inspector episode bootstraps its
-// remap-cost estimate.
-func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, pol *adapt.Policy) *simState {
+// pipeline (initial list, phases A-E) for a fresh run. The initial
+// partition+list+inspector episode is the trigger's first remap episode.
+func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, trig *adapt.Trigger) *simState {
 	init := GenInitState(cfg)
 	s := &simState{atoms: rt.BlockDist(cfg.NAtoms)}
 	// Local slabs of the initial condition.
@@ -213,7 +187,7 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 	timer.Mark(PhaseNBListInit)
 
 	// Phases A-D.
-	t0 := adapt.EpisodePoint(p)
+	trig.Begin(p)
 	repartition(p, s, cfg.Partitioner, timer)
 
 	// The paper regenerates the non-bonded list after redistribution,
@@ -226,13 +200,13 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 	buildInspector(p, s, cfg)
 	p.Barrier()
 	timer.Mark(PhaseSchedGen)
-	if pol != nil {
-		pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-	}
+	trig.End(p)
 	return s
 }
 
-func validate(cfg Config) {
+// validate panics on an inconsistent configuration and returns the remap
+// trigger cfg.Adapt selects.
+func validate(cfg Config) *adapt.Trigger {
 	if cfg.NAtoms < 1 || cfg.Steps < 0 || cfg.NBEvery < 1 {
 		panic(fmt.Sprintf("charmm: bad config %+v", cfg))
 	}
@@ -244,11 +218,21 @@ func validate(cfg Config) {
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
 		panic("charmm: CheckpointEvery set without CheckpointDir")
 	}
-	adapt.ParseMode(cfg.Adapt) // panics on a malformed Adapt string
+	trig, err := adapt.NewTrigger(cfg.Adapt, cfg.AdaptVerify)
+	if err != nil {
+		panic("charmm: " + err.Error())
+	}
+	return trig
 }
 
-func alternateOf(part string) string {
-	if part == "rcb" {
+// remapPartitioner names the partitioner of in-run remap number n
+// (0-based): cfg.Partitioner, or on odd remaps under AlternatePartitioners
+// the other of RCB and RIB.
+func remapPartitioner(cfg Config, n int) string {
+	switch {
+	case !cfg.AlternatePartitioners || n%2 == 0:
+		return cfg.Partitioner
+	case cfg.Partitioner == "rcb":
 		return "rib"
 	}
 	return "rcb"

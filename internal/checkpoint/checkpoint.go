@@ -170,8 +170,8 @@ func Latest(base string) (dir string, ok bool) {
 // Save writes one checkpoint collectively: every rank writes its shard,
 // rank 0 gathers the shard CRCs and seals the directory with the manifest,
 // and the final barrier guarantees that when Save returns on any rank, the
-// checkpoint is complete on all of them. app and n are validated on
-// restore; snap is this rank's state. Returns the checkpoint directory.
+// checkpoint is complete on all of them. app and n are validated by
+// Restore; snap is this rank's state. Returns the checkpoint directory.
 // I/O failures panic, like any other collective failure in this codebase,
 // and surface as PeerFailure on the other ranks.
 func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string {
@@ -197,11 +197,38 @@ func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string 
 	return dir
 }
 
-// LoadShards reads the shards assigned to this rank under the round-robin
+// Restore opens the checkpoint in dir for rank p. It reads the manifest,
+// checks that app wrote it over an index space of n elements, loads the
+// shards assigned to p (see loadShards) and merges their element-wise
+// fields (MergeShards). The shards are returned too, for their per-shard
+// sections. Purely local file I/O; no communication.
+func Restore(p *comm.Proc, dir, app string, n int64, fields []Field) (*Manifest, []*Snapshot, *Elements, error) {
+	m, err := Open(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if m.App != app {
+		return nil, nil, nil, fmt.Errorf("checkpoint: %s was written by %q, not %q", dir, m.App, app)
+	}
+	if m.N != n {
+		return nil, nil, nil, fmt.Errorf("checkpoint: %s holds %d elements, want %d", dir, m.N, n)
+	}
+	shards, err := loadShards(dir, m, p.Rank(), p.Size())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	el, err := MergeShards(shards, fields)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return m, shards, el, nil
+}
+
+// loadShards reads the shards assigned to this rank under the round-robin
 // elastic assignment (shard r goes to rank r mod nranks) and returns them
 // in ascending shard order. With nranks == m.NRanks every rank gets exactly
-// its own shard back. Purely local file I/O; no communication.
-func LoadShards(dir string, m *Manifest, rank, nranks int) ([]*Snapshot, error) {
+// its own shard back.
+func loadShards(dir string, m *Manifest, rank, nranks int) ([]*Snapshot, error) {
 	var out []*Snapshot
 	for r := rank; r < m.NRanks; r += nranks {
 		s, err := ReadShard(dir, r, m.ShardCRCs[r])

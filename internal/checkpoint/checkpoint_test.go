@@ -1,9 +1,11 @@
 package checkpoint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -240,7 +242,7 @@ func TestMergeShardsErrors(t *testing.T) {
 }
 
 // TestSaveAndLoadCollective exercises the collective Save path on a few
-// simulated ranks, then LoadShards under both the exact and the elastic
+// simulated ranks, then loadShards under both the exact and the elastic
 // assignment.
 func TestSaveAndLoadCollective(t *testing.T) {
 	base := t.TempDir()
@@ -267,7 +269,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 	}
 	// Exact assignment: rank r reads shard r.
 	for r := 0; r < P; r++ {
-		shards, err := LoadShards(dir, m, r, P)
+		shards, err := loadShards(dir, m, r, P)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +281,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 		}
 	}
 	// Elastic shrink to 2 ranks: rank 0 gets shards {0, 2}, rank 1 {1, 3}.
-	shards, err := LoadShards(dir, m, 0, 2)
+	shards, err := loadShards(dir, m, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 		t.Fatalf("got %d shards", len(shards))
 	}
 	// Elastic grow to 8 ranks: high ranks get nothing.
-	shards, err = LoadShards(dir, m, 7, 8)
+	shards, err = loadShards(dir, m, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,41 @@ func TestSaveAndLoadCollective(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShards(dir, m, 1, P); err == nil {
+	if _, err := loadShards(dir, m, 1, P); err == nil {
 		t.Fatal("corrupted shard accepted")
 	}
+}
+
+// TestRestoreValidatesAppAndN checks that Restore refuses a checkpoint
+// written by another application or over a different index space, and
+// merges the assigned shards of a matching one.
+func TestRestoreValidatesAppAndN(t *testing.T) {
+	base := t.TempDir()
+	const P = 2
+	comm.Run(P, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		snap := NewSnapshot()
+		snap.PutI32("globals", []int32{int32(p.Rank()), int32(p.Rank() + P)})
+		Save(p, base, "test", 2*P, 3, snap)
+	})
+	dir := StepDir(base, 3)
+	// Elastic shrink to one rank: both shards, merged in global order.
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		if _, _, _, err := Restore(p, dir, "other", 2*P, nil); err == nil || !strings.Contains(err.Error(), `written by "test"`) {
+			t.Errorf("wrong app: err = %v", err)
+		}
+		if _, _, _, err := Restore(p, dir, "test", 2*P+1, nil); err == nil || !strings.Contains(err.Error(), "holds 4 elements, want 5") {
+			t.Errorf("wrong N: err = %v", err)
+		}
+		if _, _, _, err := Restore(p, filepath.Join(base, "missing"), "test", 2*P, nil); err == nil {
+			t.Error("missing checkpoint accepted")
+		}
+		m, shards, el, err := Restore(p, dir, "test", 2*P, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if m.Step != 3 || len(shards) != P || fmt.Sprint(el.Globals) != "[0 1 2 3]" {
+			t.Errorf("step %d, %d shards, globals %v", m.Step, len(shards), el.Globals)
+		}
+	})
 }

@@ -125,7 +125,7 @@ func Run(p *comm.Proc, s Spec) Result {
 		cfg := dsmc.Default2D(24)
 		cfg.NMols = s.Elems
 		cfg.Steps = s.Steps
-		cfg.RemapEvery = 4
+		cfg.Adapt = "periodic:4"
 		cfg.Partitioner = "rcb"
 		cfg.InitSlabFrac = 0.5
 		cfg.CheckpointDir = s.CheckpointDir

@@ -76,7 +76,7 @@ func TestDsmcMatchesDirectRun(t *testing.T) {
 	cfg := dsmc.Default2D(24)
 	cfg.NMols = 500
 	cfg.Steps = 6
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.Partitioner = "rcb"
 	cfg.InitSlabFrac = 0.5
 	var want float64

@@ -136,3 +136,25 @@ func TestAdaptBadModePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestEmptyAdaptPartitionsLikeStatic: an unset Adapt is the static
+// trigger, so a non-block partitioner still partitions once at setup
+// instead of being ignored.
+func TestEmptyAdaptPartitionsLikeStatic(t *testing.T) {
+	const nprocs = 3
+	cfg := small3D()
+	cfg.InitSlabFrac = 0.5
+	clocks := map[string][]float64{}
+	for _, mode := range []string{"", "static"} {
+		cfg.Adapt = mode
+		rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+			Run(p, cfg)
+		})
+		clocks[mode] = rep.Clocks
+	}
+	for r := 0; r < nprocs; r++ {
+		if clocks[""][r] != clocks["static"][r] {
+			t.Fatalf("rank %d: Adapt \"\" clock %v, \"static\" %v", r, clocks[""][r], clocks["static"][r])
+		}
+	}
+}

@@ -27,23 +27,9 @@ func saveCheckpoint(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64,
 // are merged round-robin onto the new ranks and remapCells rebalances cells
 // (and migrates molecules) for the new machine. Collective.
 func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer) (*core.Dist, []float64, int) {
-	m, err := checkpoint.Open(cfg.ResumeFrom)
+	m, shards, el, err := checkpoint.Restore(p, cfg.ResumeFrom, "dsmc", int64(cfg.NCells()), nil)
 	if err != nil {
-		panic(fmt.Sprintf("dsmc: open checkpoint: %v", err))
-	}
-	if m.App != "dsmc" {
-		panic(fmt.Sprintf("dsmc: checkpoint %s was written by %q", cfg.ResumeFrom, m.App))
-	}
-	if int(m.N) != cfg.NCells() {
-		panic(fmt.Sprintf("dsmc: checkpoint has %d cells, config wants %d", m.N, cfg.NCells()))
-	}
-	shards, err := checkpoint.LoadShards(cfg.ResumeFrom, m, p.Rank(), p.Size())
-	if err != nil {
-		panic(fmt.Sprintf("dsmc: read shards: %v", err))
-	}
-	el, err := checkpoint.MergeShards(shards, nil)
-	if err != nil {
-		panic(fmt.Sprintf("dsmc: merge shards: %v", err))
+		panic(fmt.Sprintf("dsmc: resume: %v", err))
 	}
 	var mols []float64
 	clock := 0.0

@@ -46,7 +46,7 @@ func skewedConfig() Config {
 	cfg.NMols = 600
 	cfg.Steps = 8
 	cfg.InitSlabFrac = 0.5
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.Partitioner = "rcb"
 	return cfg
 }

@@ -67,13 +67,11 @@ type Config struct {
 	// SlotCap is the per-cell slot capacity of the regular mover's global
 	// new_cells array.
 	SlotCap int
-	// RemapEvery repartitions cells every RemapEvery steps (0 = static).
-	RemapEvery int
-	// Adapt selects how remapping is triggered: "" leaves RemapEvery in
-	// charge (the historical knob), "static" never remaps beyond the
-	// initial partition, "periodic:N" remaps every N steps, and "policy"
-	// lets the adapt.Policy engine decide online from AllReduce'd per-step
-	// compute costs. "static" and "policy" override RemapEvery.
+	// Adapt selects when cells are repartitioned and molecules migrated:
+	// "" or "static" only once before the run, "periodic:N" also after
+	// every N-th step, and "policy" when the adapt.Policy engine decides
+	// online from AllReduce'd per-step compute costs. The "block"
+	// partitioner keeps the initial block distribution at setup.
 	Adapt string
 	// AdaptVerify enables the policy engine's cross-rank agreement check:
 	// every decision's inputs are fingerprint-AllReduce'd and a divergence
@@ -111,9 +109,15 @@ func (c Config) collideCost() int {
 	return collideFlopsPerMol
 }
 
-// adaptMode parses Config.Adapt into (mode, period): ("", 0) when unset,
-// ("static", 0), ("periodic", N) or ("policy", 0). Panics on anything else.
-func (c Config) adaptMode() (string, int) { return adapt.ParseMode(c.Adapt) }
+// trigger builds the remap trigger Adapt selects; panics on a malformed
+// selector.
+func (c Config) trigger() *adapt.Trigger {
+	t, err := adapt.NewTrigger(c.Adapt, c.AdaptVerify)
+	if err != nil {
+		panic("dsmc: " + err.Error())
+	}
+	return t
+}
 
 // Validate panics on inconsistent configuration.
 func (c Config) Validate() {
@@ -140,7 +144,7 @@ func (c Config) Validate() {
 	if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
 		panic("dsmc: CheckpointEvery set without CheckpointDir")
 	}
-	c.adaptMode() // panics on a malformed Adapt string
+	c.trigger()
 }
 
 // NCells returns the total cell count.

@@ -20,7 +20,7 @@ func small3D() Config {
 	cfg.NX, cfg.NY, cfg.NZ = 64, 4, 4
 	cfg.NMols = 700
 	cfg.Steps = 10
-	cfg.RemapEvery = 4
+	cfg.Adapt = "periodic:4"
 	cfg.Partitioner = "chain"
 	return cfg
 }
@@ -213,18 +213,17 @@ func TestRemappingBeatsStaticUnderDrift(t *testing.T) {
 	cfg := small3D()
 	cfg.NMols = 3000
 	cfg.Steps = 30
-	cfg.RemapEvery = 10
-	exec := func(part string, remapEvery int) float64 {
+	exec := func(part, mode string) float64 {
 		cfg := cfg
 		cfg.Partitioner = part
-		cfg.RemapEvery = remapEvery
+		cfg.Adapt = mode
 		rep := comm.Run(8, costmodel.IPSC860(), func(p *comm.Proc) {
 			Run(p, cfg)
 		})
 		return rep.MaxClock()
 	}
-	static := exec("block", 0)
-	chain := exec("chain", 10)
+	static := exec("block", "static")
+	chain := exec("chain", "periodic:10")
 	if chain >= static {
 		t.Errorf("chain remapping %.4fs not better than static %.4fs", chain, static)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/loopir"
@@ -52,18 +51,7 @@ func RunKeepMols(p *comm.Proc, cfg Config) []float64 {
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 	cfg.Validate()
-	mode, period := cfg.adaptMode()
-	switch mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static", "policy":
-		cfg.RemapEvery = 0
-	}
-	var pol *adapt.Policy
-	if mode == "policy" {
-		pol = adapt.NewPolicy()
-		pol.Verify = cfg.AdaptVerify
-	}
+	trig := cfg.trigger()
 	rt := core.NewRuntime(p)
 	timer := core.NewPhaseTimer(p)
 
@@ -85,20 +73,18 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 		timer.Skip() // setup is not measured
 
-		// Remapping policies partition once before the run as well; the
-		// policy engine prices its first episode from this bootstrap remap.
-		if (cfg.RemapEvery > 0 || mode == "static" || mode == "policy") && cfg.Partitioner != "block" {
-			t0 := adapt.EpisodePoint(p)
+		// Every trigger partitions once before the run; the policy engine
+		// prices its first remap episode from this one.
+		if cfg.Partitioner != "block" {
+			trig.Begin(p)
 			cells, mols = remapCells(p, &cfg, cells, mols, timer)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-			}
+			trig.End(p)
 		}
 	}
 
 	var remapSteps []int
 	var sc moveScratch
-	lastCost := adapt.CostPoint(p)
+	trig.Baseline(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("dsmc: injected crash on rank %d at step %d", p.Rank(), step))
@@ -116,19 +102,10 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		collideOwned(p, &cfg, cells, mols, step)
 		timer.Mark(PhaseCollide)
 
-		doRemap := cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0 && step < cfg.Steps
-		if pol != nil && step < cfg.Steps {
-			now := adapt.CostPoint(p)
-			doRemap = pol.Step(p, now-lastCost)
-			lastCost = now
-		}
-		if doRemap {
-			t0 := adapt.EpisodePoint(p)
+		if step < cfg.Steps && trig.Due(p, step) {
+			trig.Begin(p)
 			cells, mols = remapCells(p, &cfg, cells, mols, timer)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-				lastCost = adapt.CostPoint(p)
-			}
+			trig.End(p)
 			remapSteps = append(remapSteps, step)
 		}
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
