@@ -155,6 +155,13 @@ func TestCompiledAppMatchesHandAndReference(t *testing.T) {
 	if results[0].Phases[PhaseSchedRegen] <= 0 {
 		t.Errorf("no schedule regeneration recorded: %v", results[0].Phases)
 	}
+	hand := make([]*ProcResult, 3)
+	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
+		hand[p.Rank()] = Run(p, cfg)
+	})
+	if got, want := fmt.Sprint(results[0].RemapSteps), fmt.Sprint(hand[0].RemapSteps); got != want || got == "[]" {
+		t.Errorf("compiled remapped at %s, hand-parallelized at %s", got, want)
+	}
 
 	// Under the online remap policy, with its agreement check armed.
 	cfg.Adapt = "policy"
@@ -165,24 +172,6 @@ func TestCompiledAppMatchesHandAndReference(t *testing.T) {
 	})
 	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 		t.Errorf("policy compiled checksum %v, want %v", results[0].Checksum, want)
-	}
-}
-
-// TestCompiledReportsRemapSteps: RunCompiled reports the steps its trigger
-// remapped at, the same steps Run reports for the same configuration.
-func TestCompiledReportsRemapSteps(t *testing.T) {
-	cfg := DefaultConfig().scaled(300)
-	cfg.Steps = 8
-	cfg.NBEvery = 3
-	cfg.Adapt = "periodic:2"
-	for i, run := range []func(*comm.Proc, Config) *ProcResult{Run, RunCompiled} {
-		results := make([]*ProcResult, 3)
-		comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = run(p, cfg)
-		})
-		if got := fmt.Sprint(results[0].RemapSteps); got != "[2 4 6 8]" {
-			t.Errorf("runner %d (Run, RunCompiled) remapped at %s, want [2 4 6 8]", i, got)
-		}
 	}
 }
 
